@@ -1,4 +1,7 @@
 import json
+import pathlib
+
+import pytest
 
 from stablimits.balanced import BalancedExpression, theta
 from stablimits.cli import main
@@ -155,3 +158,19 @@ def test_deterministic_output(capsys):
     _, first = run(capsys, "young-report", "--n-max", "4", "--b", "3")
     _, second = run(capsys, "young-report", "--n-max", "4", "--b", "3")
     assert first == second
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("chamber", ["zero", "infinity"])
+def test_limit_apply_golden_output(tmp_path, chamber):
+    """Single-term entries: the JSON lines stay byte-identical to the
+    committed output, k-matrix text included."""
+    out_path = tmp_path / "out.jsonl"
+    main([
+        "limit-apply", "--input", str(GOLDEN / "restriction_matrix.json"), "--w", "1",
+        "--chamber", chamber, "--output", str(out_path),
+    ])
+    expected = (GOLDEN / f"restriction_matrix.{chamber}.jsonl").read_bytes()
+    assert out_path.read_bytes() == expected
