@@ -27,7 +27,7 @@ from .qseries import (
     LimitUndefined,
     ThetaArgument,
     numeric_theta_argument,
-    theta_leading,
+    theta_ratio_leading,
 )
 
 
@@ -269,9 +269,8 @@ def q_limit(
     shifted = expr.shifted(weight)
     survivors: list[tuple[Monomial, RationalExpr]] = []
     for term in shifted.terms:
-        prefactor_val = term.prefactor.pairing(weight)
-        ratio = theta_ratio_limit_with_valuation(term.numerator, term.denominator)
-        valuation = prefactor_val + ratio.valuation
+        valuation, ratio = theta_ratio_leading(term.numerator, term.denominator)
+        valuation += term.prefactor.pairing(weight)
         if valuation < 0:
             raise LimitUndefined(
                 f"term diverges as q^{rat_to_str(valuation)}; expression is not balanced"
@@ -301,65 +300,43 @@ def q_limit(
     return normalization, value
 
 
-@dataclass(frozen=True)
-class _RatioLimit:
-    valuation: Fraction
-    prefactor: Monomial
-    value: RationalExpr
-
-
-def theta_ratio_limit_with_valuation(
-    numerator: Iterable[ThetaArgument], denominator: Iterable[ThetaArgument]
-) -> _RatioLimit:
-    """Like theta_ratio_limit but reports the raw valuation instead of
-    collapsing positive valuations to zero; used term-by-term in sums."""
-    valuation = Fraction(0)
-    sign = 1
-    monomial = ONE
-    num = Character.one()
-    den = Character.one()
-    for args, upstairs in ((tuple(numerator), True), (tuple(denominator), False)):
-        for a in args:
-            lead = theta_leading(a)
-            sign *= lead.sign
-            if upstairs:
-                valuation += lead.valuation
-                monomial = monomial * lead.monomial
-            else:
-                valuation -= lead.valuation
-                monomial = monomial / lead.monomial
-            if lead.binomial_of is not None:
-                binom = Character({ONE: 1, lead.binomial_of: -1})
-                if upstairs:
-                    num = num * binom
-                else:
-                    den = den * binom
-    return _RatioLimit(valuation, monomial, RationalExpr(num * sign, den))
-
-
 def z_limit(
     value: RationalExpr, chamber: KahlerChamber, correction: Monomial = ONE
 ) -> RationalExpr:
     """Multiply by the correction monomial, then send each chamber variable to
     its limit (0 or infinity).  DivergentLimit if the corrected valuation
-    points the wrong way."""
-    expr = value.times_monomial(correction)
+    points the wrong way.
+
+    Each variable keeps the extremal slice of the numerator and of the
+    denominator; the denominator is sliced factor by factor, so a (1 - m)
+    becomes 1 or -m and is never expanded.  The correction counts through
+    its exponent in each chamber variable, and its other variables multiply
+    the final numerator."""
+    if value.is_zero:
+        return RationalExpr.zero()
+    num, rest, factors = value.num, value.rest, value.factors
     for var in sorted(chamber.directions):
         direction = chamber.directions[var]
-        if expr.is_zero:
-            return RationalExpr.zero()
         extremal = min if direction == ToZero else max
 
         def split(ch: Character) -> tuple[Fraction, Character]:
-            exps = {m.exponent(var) for m, _ in ch.items()}
-            e = extremal(exps)
-            sliced = Character(
-                {m.drop((var,)): c for m, c in ch.items() if m.exponent(var) == e}
-            )
-            return e, sliced
+            graded = [(m.exponent(var), m, c) for m, c in ch.items()]
+            e = extremal(g for g, _, _ in graded)
+            return e, Character({m.drop((var,)): c for g, m, c in graded if g == e})
 
-        e_num, num = split(expr.num)
-        e_den, den = split(expr.den)
+        e_num, num = split(num)
+        e_num += correction.exponent(var)
+        correction = correction.drop((var,))
+        e_den, rest = split(rest)
+        kept: dict[Monomial, int] = {}
+        for m, k in factors.items():
+            e = m.exponent(var)
+            if not e:
+                kept[m] = k
+            elif (e < 0) == (direction == ToZero):
+                e_den += k * e
+                rest = rest.times_monomial(m.drop((var,)) ** k) * (-1) ** k
+        factors = kept
         gap = e_num - e_den
         vanishing = gap > 0 if direction == ToZero else gap < 0
         if vanishing:
@@ -368,8 +345,9 @@ def z_limit(
             raise DivergentLimit(
                 f"{var} -> {direction}: corrected expression grows like {var}^{rat_to_str(gap if direction == ToInfinity else -gap)}"
             )
-        expr = RationalExpr(num, den)
-    return expr
+    if not correction.is_trivial:
+        num = num.times_monomial(correction)
+    return RationalExpr.factored(num, factors, rest)
 
 
 def chamber_correction(

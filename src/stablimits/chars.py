@@ -2,8 +2,13 @@
 
 Characters are finite integer-multiplicity sums of monomials in named
 variables with half-integer exponents.  Everything here is immutable and
-exact: exponents are stored as doubled integers, coefficients are plain
-ints, and rational functions of characters compare by cross-multiplication.
+exact: exponents are stored as doubled integers and coefficients are plain
+ints.  A rational function of characters is a numerator over a general
+character times a multiset of (1 - m) factors, the shape of every
+denominator the limit engine creates.  Sums, quotients and equality take the
+least common multiple of the two multisets, and only then cross-multiply;
+where (1 - m) on the left meets (1 - 1/m) on the right, the right one is
+rewritten as (1 - 1/m) == -(1/m)(1 - m).  Equality is exact.
 """
 
 from __future__ import annotations
@@ -306,9 +311,13 @@ class Character:
         )
 
     def s_hat(self) -> "RationalExpr":
-        """Product over terms of (m^(1/2) - m^(-1/2))**mult."""
+        """Product over terms of (m^(1/2) - m^(-1/2))**mult.
+
+        A denominator factor is kept as -m^(-1/2) (1 - m).
+        """
         num = Character.one()
-        den = Character.one()
+        rest = Character.one()
+        factors: dict[Monomial, int] = {}
         for m, c in self._terms.items():
             if m.is_trivial:
                 if c < 0:
@@ -317,18 +326,19 @@ class Character:
                     return RationalExpr(Character.zero(), Character.one())
                 continue
             root = m.sqrt()
-            binom = Character({root: 1, root.inverse(): -1})
-            for _ in range(abs(c)):
-                if c > 0:
+            if c > 0:
+                binom = Character({root: 1, root.inverse(): -1})
+                for _ in range(c):
                     num = num * binom
-                else:
-                    den = den * binom
-        return RationalExpr(num, den)
+            else:
+                rest = rest.times_monomial(root.inverse() ** -c) * (-1) ** -c
+                factors[m] = -c
+        return RationalExpr.factored(num, factors, rest)
 
     def exterior_euler(self) -> "RationalExpr":
         """Product over terms of (1 - m)**mult."""
         num = Character.one()
-        den = Character.one()
+        factors: dict[Monomial, int] = {}
         for m, c in self._terms.items():
             if m.is_trivial:
                 if c < 0:
@@ -336,13 +346,11 @@ class Character:
                 if c > 0:
                     return RationalExpr(Character.zero(), Character.one())
                 continue
-            binom = Character({ONE: 1, m: -1})
-            for _ in range(abs(c)):
-                if c > 0:
-                    num = num * binom
-                else:
-                    den = den * binom
-        return RationalExpr(num, den)
+            if c > 0:
+                num = _expand(num, {m: c})
+            else:
+                factors[m] = -c
+        return RationalExpr.factored(num, factors)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Character) and self._terms == other._terms
@@ -458,10 +466,85 @@ class Chamber:
         return Chamber({v: -Fraction(d) for v, d in self.direction.items()})
 
 
-class RationalExpr:
-    """Quotient of two characters, compared by cross-multiplication."""
+def _times_one_minus(ch: Character, m: Monomial) -> Character:
+    """ch * (1 - m), one monomial product per term."""
+    acc = dict(ch._terms)
+    for t, c in ch._terms.items():
+        tm = t * m
+        acc[tm] = acc.get(tm, 0) - c
+    return Character(acc)
 
-    __slots__ = ("num", "den")
+
+def _expand(ch: Character, factors: Mapping[Monomial, int]) -> Character:
+    """ch * prod (1 - m)^k."""
+    for m, k in factors.items():
+        for _ in range(k):
+            ch = _times_one_minus(ch, m)
+    return ch
+
+
+# How one side reaches a common multiset L: 1/prod F == sign * mono * prod M / prod L.
+_Lift = tuple[int, Monomial, dict[Monomial, int]]
+
+
+def _lcm(f1: Mapping[Monomial, int], f2: Mapping[Monomial, int]) -> tuple[dict[Monomial, int], _Lift, _Lift]:
+    """Least common multiple L of two factor multisets, and the lift of each side.
+
+    (1 - m) and (1 - 1/m) are associates, (1 - m) == -m (1 - 1/m), so they
+    count together.  L takes each pair in the orientation met first, the
+    left side's before the right's; a factor (1 - 1/m) of the other
+    orientation is rewritten as 1/(1 - 1/m) == -m/(1 - m).
+    """
+    if f1 == f2:
+        return dict(f1), (1, ONE, {}), (1, ONE, {})
+    lcm: dict[Monomial, int] = {}
+    lifts = ([1, ONE, {}], [1, ONE, {}])
+    seen: set[Monomial] = set()
+    for m in (*f1, *f2):
+        if m in seen:
+            continue
+        inv = m.inverse()
+        seen.update((m, inv))
+        counts = [f.get(m, 0) + f.get(inv, 0) for f in (f1, f2)]
+        lcm[m] = max(counts)
+        for lift, f, count in zip(lifts, (f1, f2), counts):
+            flipped = f.get(inv, 0)
+            if flipped:
+                lift[0] *= (-1) ** flipped
+                lift[1] = lift[1] * m ** flipped
+            if lcm[m] > count:
+                lift[2][m] = lcm[m] - count
+    return lcm, tuple(lifts[0]), tuple(lifts[1])
+
+
+def _lifted(ch: Character, lift: _Lift) -> Character:
+    sign, mono, factors = lift
+    if not mono.is_trivial:
+        ch = ch.times_monomial(mono)
+    if sign < 0:
+        ch = -ch
+    return _expand(ch, factors)
+
+
+class RationalExpr:
+    """Exact rational function num / (rest * prod (1 - m)^k).
+
+    The denominator is kept factored: a multiset ``factors`` of monomials m,
+    each standing for a (1 - m) factor of multiplicity k, times a general
+    character ``rest``.  Every denominator the limit engine creates is of
+    this shape; a denominator given to the constructor (or read from JSON)
+    is kept whole in ``rest``.  ``den`` expands the product.
+
+    Products add the multisets.  Sums, quotients and equality first bring
+    both sides to the least common multiple of their multisets, which
+    cancels shared factors before any cross-multiplication.  Since
+    (1 - m) == -m (1 - 1/m), a (1 - 1/m) on the right operand that meets a
+    (1 - m) on the left is rewritten in the left's orientation, as
+    1/(1 - 1/m) == -m/(1 - m), and only there, at merge time.  Equality
+    stays exact.
+    """
+
+    __slots__ = ("num", "rest", "factors")
 
     def __init__(self, num: Character, den: Character | None = None):
         if den is None:
@@ -469,7 +552,22 @@ class RationalExpr:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in RationalExpr")
         self.num = num
-        self.den = den
+        self.rest = den
+        self.factors: dict[Monomial, int] = {}
+
+    @classmethod
+    def factored(
+        cls,
+        num: Character,
+        factors: Mapping[Monomial, int],
+        rest: Character | None = None,
+    ) -> "RationalExpr":
+        """num / (rest * prod over factors of (1 - m)^k)."""
+        if any(m.is_trivial for m, k in factors.items() if k):
+            raise ZeroFactorError("(1 - 1) appears in a denominator")
+        out = cls(num, rest)
+        out.factors = {m: k for m, k in factors.items() if k}
+        return out
 
     @classmethod
     def zero(cls) -> "RationalExpr":
@@ -484,31 +582,55 @@ class RationalExpr:
         return cls(Character.monomial(m, sign))
 
     @property
+    def den(self) -> Character:
+        """The expanded denominator rest * prod (1 - m)^k."""
+        return _expand(self.rest, self.factors)
+
+    @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
     def __mul__(self, other: "RationalExpr | Character | int") -> "RationalExpr":
         if isinstance(other, RationalExpr):
-            return RationalExpr(self.num * other.num, self.den * other.den)
-        return RationalExpr(self.num * other, self.den)
+            factors = dict(self.factors)
+            for m, k in other.factors.items():
+                factors[m] = factors.get(m, 0) + k
+            return RationalExpr.factored(self.num * other.num, factors, self.rest * other.rest)
+        return RationalExpr.factored(self.num * other, self.factors, self.rest)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "RationalExpr") -> "RationalExpr":
         if other.is_zero:
             raise ZeroDivisionError("division by the zero expression")
-        return RationalExpr(self.num * other.den, self.den * other.num)
+        # n1 / (r1 F1) over n2 / (r2 F2) == n1 r2 (L/F1) / (r1 n2 (L/F2))
+        _, lift1, (sign2, mono2, factors2) = _lcm(self.factors, other.factors)
+        rest = (self.rest * other.num).times_monomial(mono2) * sign2
+        return RationalExpr.factored(_lifted(self.num * other.rest, lift1), factors2, rest)
+
+    def _over_common(self, other: "RationalExpr") -> tuple[Character, Character, dict[Monomial, int]]:
+        """Numerators of both sides over their common denominator, and its multiset."""
+        lcm, lift1, lift2 = _lcm(self.factors, other.factors)
+        if self.rest == other.rest:
+            n1, n2 = self.num, other.num
+        else:
+            n1, n2 = self.num * other.rest, other.num * self.rest
+        return _lifted(n1, lift1), _lifted(n2, lift2), lcm
 
     def __add__(self, other: "RationalExpr") -> "RationalExpr":
-        if self.den == other.den:
-            return RationalExpr(self.num + other.num, self.den)
-        return RationalExpr(self.num * other.den + other.num * self.den, self.den * other.den)
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        n1, n2, lcm = self._over_common(other)
+        rest = self.rest if self.rest == other.rest else self.rest * other.rest
+        return RationalExpr.factored(n1 + n2, lcm, rest)
 
     def __sub__(self, other: "RationalExpr") -> "RationalExpr":
         return self + (-other)
 
     def __neg__(self) -> "RationalExpr":
-        return RationalExpr(-self.num, self.den)
+        return RationalExpr.factored(-self.num, self.factors, self.rest)
 
     def inverse(self) -> "RationalExpr":
         if self.is_zero:
@@ -516,12 +638,15 @@ class RationalExpr:
         return RationalExpr(self.den, self.num)
 
     def times_monomial(self, m: Monomial) -> "RationalExpr":
-        return RationalExpr(self.num.times_monomial(m), self.den)
+        return RationalExpr.factored(self.num.times_monomial(m), self.factors, self.rest)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalExpr):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        if self.is_zero or other.is_zero:
+            return self.is_zero and other.is_zero
+        n1, n2, _ = self._over_common(other)
+        return n1 == n2
 
     def __hash__(self) -> int:  # weak but consistent: hash of nothing structural
         return hash(("RationalExpr", self.num.is_zero))

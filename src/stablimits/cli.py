@@ -351,7 +351,7 @@ def _cmd_limit_apply(args) -> int:
         return out.finish("limit-apply")
     w = _parse_rational(args.w) if args.w else Fraction(0)
     try:
-        outcome = apply_limit_theorem(matrix, w, args.chamber)
+        outcome = apply_limit_theorem(matrix, w, args.chamber, report)
     except EntryLimitError as exc:
         out.record({"phase": "limit", "entry": [exc.row, exc.col], "error": str(exc.cause)}, "fail")
         return out.finish("limit-apply")

@@ -39,6 +39,7 @@ from .chars import (
     rat_to_str,
 )
 from .hilbert import (
+    ComponentMismatch,
     ConventionSet,
     DiagonalMatrices,
     YoungDiagram,
@@ -224,10 +225,12 @@ class RestrictionMatrix:
                 row, col = str(rec["row"]), str(rec["col"])
                 if row not in labels or col not in labels:
                     raise MalformedInput(f"entry ({row}, {col}) uses unknown labels")
+                if not isinstance(rec["expr"], Mapping):
+                    raise MalformedInput(f"entry ({row}, {col}): expr is not a JSON object")
                 entries[(row, col)] = BalancedExpression.from_json(rec["expr"])
         except MalformedInput:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad restriction matrix JSON: {exc}") from exc
         return cls(labels, entries, metadata)
 
@@ -342,12 +345,14 @@ def apply_limit_theorem(
     matrix: RestrictionMatrix,
     w: Rat | Mapping[str, Rat],
     chamber: KahlerChamber | str,
+    validation: Report | None = None,
 ) -> LimitOutcome:
     """Shift, q-limit, correct, and Kahler-limit every entry.
 
     ``w`` may be a single rational (one equivariant variable) or a mapping
     from equivariant names to rationals.  ``chamber`` may be a KahlerChamber
-    or the uniform direction 'zero' / 'infinity'.
+    or the uniform direction 'zero' / 'infinity'.  ``validation`` is the
+    report of ``validate_section`` on this matrix, if already computed.
     """
     variables = matrix.metadata.variables
     if isinstance(w, (int, Fraction)):
@@ -363,7 +368,8 @@ def apply_limit_theorem(
     # stay report-level: synthetic sections may fail them and still have
     # perfectly good corrected limits.  Equivariant balance, bundle
     # consistency and the unit diagonal are non-negotiable.
-    validation = validate_section(matrix)
+    if validation is None:
+        validation = validate_section(matrix)
     hard = ("balanced-equivariant", "quasiperiod-consistency", "unit-diagonal")
     blocking = [r for r in validation.failures() if r.name in hard]
     if blocking:
@@ -374,9 +380,12 @@ def apply_limit_theorem(
     conj = None
     if diagrams is not None and matrix.metadata.convention is not None and len(weight) == 1:
         wval = next(iter(weight.values()))
-        conj = conjugation_matrices(
-            [diagrams[l] for l in matrix.labels], Fraction(wval), matrix.metadata.convention
-        )
+        try:
+            conj = conjugation_matrices(
+                [diagrams[l] for l in matrix.labels], Fraction(wval), matrix.metadata.convention
+            )
+        except ComponentMismatch as exc:
+            raise MalformedInput(f"labels span more than one residue component: {exc}") from exc
 
     entries: dict[tuple[str, str], RationalExpr] = {}
     for (row, col), expr in sorted(matrix.entries.items()):

@@ -328,6 +328,37 @@ class LimitResult:
         return self.value.times_monomial(self.prefactor)
 
 
+def theta_ratio_leading(
+    numerator: Iterable[ThetaArgument], denominator: Iterable[ThetaArgument]
+) -> tuple[Fraction, LimitResult]:
+    """Leading term of prod theta(num) / prod theta(den) as q -> 0.
+
+    Returns the q-valuation v and the coefficient of q^v, with the
+    denominator binomials kept as (1 - m) factors.  Raises LimitUndefined if
+    a factor is identically zero.
+    """
+    valuation = Fraction(0)
+    sign = 1
+    monomial = ONE
+    num = Character.one()
+    factors: dict[Monomial, int] = {}
+    for arg in numerator:
+        lead = theta_leading(arg)
+        valuation += lead.valuation
+        sign *= lead.sign
+        monomial = monomial * lead.monomial
+        if lead.binomial_of is not None:
+            num = num * Character({ONE: 1, lead.binomial_of: -1})
+    for arg in denominator:
+        lead = theta_leading(arg)
+        valuation -= lead.valuation
+        sign *= lead.sign  # sign is +-1, division == multiplication
+        monomial = monomial / lead.monomial
+        if lead.binomial_of is not None:
+            factors[lead.binomial_of] = factors.get(lead.binomial_of, 0) + 1
+    return valuation, LimitResult(monomial, RationalExpr.factored(num * sign, factors))
+
+
 def theta_ratio_limit(
     numerator: Iterable[ThetaArgument], denominator: Iterable[ThetaArgument]
 ) -> LimitResult:
@@ -336,38 +367,14 @@ def theta_ratio_limit(
     Raises LimitUndefined when the total q-valuation is negative (a pole) or a
     factor is identically zero.  A positive total valuation gives limit 0.
     """
-    valuation = Fraction(0)
-    sign = 1
-    monomial = ONE
-    num_binoms: list[Monomial] = []
-    den_binoms: list[Monomial] = []
-    for arg in numerator:
-        lead = theta_leading(arg)
-        valuation += lead.valuation
-        sign *= lead.sign
-        monomial = monomial * lead.monomial
-        if lead.binomial_of is not None:
-            num_binoms.append(lead.binomial_of)
-    for arg in denominator:
-        lead = theta_leading(arg)
-        valuation -= lead.valuation
-        sign *= lead.sign  # sign is +-1, division == multiplication
-        monomial = monomial / lead.monomial
-        if lead.binomial_of is not None:
-            den_binoms.append(lead.binomial_of)
+    valuation, result = theta_ratio_leading(numerator, denominator)
     if valuation < 0:
         raise LimitUndefined(
             f"theta ratio has a q-pole of order {rat_to_str(-valuation)}"
         )
     if valuation > 0:
         return LimitResult(ONE, RationalExpr.zero())
-    num = Character.one() * sign
-    for b in num_binoms:
-        num = num * Character({ONE: 1, b: -1})
-    den = Character.one()
-    for b in den_binoms:
-        den = den * Character({ONE: 1, b: -1})
-    return LimitResult(monomial, RationalExpr(num, den))
+    return result
 
 
 def numeric_theta(x: complex, q: complex, tolerance: float = 1e-12) -> complex:

@@ -174,3 +174,35 @@ def test_limit_apply_golden_output(tmp_path, chamber):
     ])
     expected = (GOLDEN / f"restriction_matrix.{chamber}.jsonl").read_bytes()
     assert out_path.read_bytes() == expected
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_limit_apply_two_residue_components_is_malformed(tmp_path, capsys):
+    """At w = 1/2, 5 and 2,2,1 lie in different residue components."""
+    meta = MatrixMetadata(
+        variables=VariableSet(("a",), "hbar", ("z",)),
+        convention=ConventionSet(),
+        order=("5", "2,2,1", "2,1,1,1"),
+    )
+    m = RestrictionMatrix.identity(("5", "2,2,1", "2,1,1,1"), meta)
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(m.to_json()))
+    code = main(["limit-apply", "--input", str(path), "--w=1/2"])
+    assert code == 2
+    assert "residue component" in _one_line_error(capsys)
+
+
+def test_limit_apply_list_expression_is_malformed(tmp_path, capsys):
+    meta = MatrixMetadata(variables=VariableSet(("a",), "hbar", ("z",)))
+    data = RestrictionMatrix.identity(("x", "y"), meta).to_json()
+    data["entries"].append({"row": "y", "col": "x", "expr": []})
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(data))
+    code = main(["limit-apply", "--input", str(path)])
+    assert code == 2
+    assert "(y, x)" in _one_line_error(capsys)
