@@ -99,7 +99,7 @@ def test_equality_matches_sympy():
     for (x, sx), (y, sy) in cases(13, 200):
         assert (x == y) == same(sx, sy)
         # the same value with one (1 - m) turned into -m (1 - 1/m)
-        m, k = next(iter(x.factors.items()))
+        m = next(iter(x.factors))
         factors = dict(x.factors)
         factors[m] -= 1
         factors[m.inverse()] = factors.get(m.inverse(), 0) + 1
