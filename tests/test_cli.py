@@ -206,3 +206,35 @@ def test_limit_apply_list_expression_is_malformed(tmp_path, capsys):
     code = main(["limit-apply", "--input", str(path)])
     assert code == 2
     assert "(y, x)" in _one_line_error(capsys)
+
+
+GOLDEN_COMMANDS = {
+    "diflem-scan": ["diflem-scan", "--n-max", "6"],
+    "calibrate": ["calibrate", "--n-max", "5"],
+    "young-report": ["young-report", "--n-max", "6", "--b", "3", "--w", "1/3,1/2"],
+    "component-enum": ["component-enum", "--n", "6", "--b", "3", "--w", "1/3"],
+    "framing-blocks": ["framing-blocks", "--w", "0,1,1/2", "--frame-r", "2,1", "--frame-n", "1,1"],
+    "theta-verify": ["theta-verify", "--order", "6", "--w-denoms", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_command_golden_output(tmp_path, name):
+    out_path = tmp_path / "out.jsonl"
+    main([*GOLDEN_COMMANDS[name], "--output", str(out_path)])
+    assert out_path.read_bytes() == (GOLDEN / f"{name}.jsonl").read_bytes()
+
+
+def test_theta_verify_balanced_golden_output(tmp_path):
+    """Every field but the float ``rel`` (numeric theta at q = 1e-4) is pinned."""
+    out_path = tmp_path / "out.jsonl"
+    main(["theta-verify", "--balanced-samples", "8", "--seed", "0", "--output", str(out_path)])
+
+    def records(text):
+        recs = [json.loads(line) for line in text.splitlines()]
+        for rec in recs:
+            rec.pop("rel", None)
+        return recs
+
+    expected = (GOLDEN / "theta-verify-balanced.jsonl").read_text()
+    assert records(out_path.read_text()) == records(expected)
