@@ -64,10 +64,6 @@ class KahlerChamber:
     def uniform(cls, variables: Iterable[str], direction: str) -> "KahlerChamber":
         return cls({v: direction for v in variables})
 
-    def opposite(self) -> "KahlerChamber":
-        flip = {ToZero: ToInfinity, ToInfinity: ToZero}
-        return KahlerChamber({v: flip[d] for v, d in self.directions.items()})
-
 
 @dataclass(frozen=True)
 class BalancedTerm:

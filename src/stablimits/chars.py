@@ -227,9 +227,6 @@ class Character:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def term_count(self) -> int:
-        return len(self._terms)
-
     def __add__(self, other: "Character") -> "Character":
         acc = dict(self._terms)
         for m, c in other._terms.items():
@@ -650,14 +647,6 @@ class RationalExpr:
 
     def __hash__(self) -> int:  # weak but consistent: hash of nothing structural
         return hash(("RationalExpr", self.num.is_zero))
-
-    def as_scaled_monomial(self) -> tuple[Fraction, Monomial] | None:
-        """If both numerator and denominator are single terms, return (ratio, monomial)."""
-        if self.num.term_count() != 1 or self.den.term_count() != 1:
-            return None
-        (mn, cn), = self.num.items()
-        (md, cd), = self.den.items()
-        return Fraction(cn, cd), mn / md
 
     def degree_span(self, variables: Collection[str]) -> tuple[Fraction, Fraction] | None:
         """[min, max] exponent span in the given variables, num minus den endpoint-wise."""

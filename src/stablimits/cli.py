@@ -175,6 +175,7 @@ def _cmd_theta_verify(args) -> int:
             w = Fraction(rng.randint(-3 * r, 3 * r), r)
             weight = {"a": w}
             try:
+                # Not double_limit: one q-limit serves both chambers and the rate check.
                 pairing = quasiperiod_pairing(expr, variables)
                 norm, value = q_limit(expr, weight, variables)
                 for direction in ("zero", "infinity"):
@@ -285,6 +286,8 @@ def _cmd_diflem_scan(args) -> int:
 
 
 def _cmd_component_enum(args) -> int:
+    if args.n < 0 or args.b < 1:
+        raise MalformedInput("--n must be nonnegative and --b positive")
     out = _Output(args.output)
     conv = _convention(args)
     components = enumerate_components(args.n, args.b, conv)
@@ -345,8 +348,7 @@ def _cmd_limit_apply(args) -> int:
     matrix = RestrictionMatrix.load(args.input)
     report = validate_section(matrix)
     for rec in report.records:
-        out.record(rec.to_json() | {"phase": "validate"},
-                   "skipped" if rec.passed is None else ("pass" if rec.passed else "fail"))
+        out.record(rec.to_json() | {"phase": "validate"}, rec.status)
     if not report.ok:
         return out.finish("limit-apply")
     w = _parse_rational(args.w) if args.w else Fraction(0)
@@ -357,8 +359,7 @@ def _cmd_limit_apply(args) -> int:
         return out.finish("limit-apply")
     axioms = check_stab_axioms(outcome.matrix, matrix.metadata, w)
     for rec in axioms.records:
-        out.record(rec.to_json() | {"phase": "axioms"},
-                   "skipped" if rec.passed is None else ("pass" if rec.passed else "fail"))
+        out.record(rec.to_json() | {"phase": "axioms"}, rec.status)
     result = outcome.matrix.to_json()
     if outcome.conjugation is not None:
         result["conjugation"] = outcome.conjugation.to_json()
@@ -375,9 +376,11 @@ def _cmd_framing_blocks(args) -> int:
     if args.frame_r or args.frame_n:
         if not (args.frame_r and args.frame_n):
             raise MalformedInput("--frame-r and --frame-n must come together")
-        r = tuple(int(x) for x in args.frame_r.split(","))
-        n = tuple(int(x) for x in args.frame_n.split(","))
-        frame = QuiverFrame(r, n)
+        try:
+            frame = QuiverFrame(tuple(int(x) for x in args.frame_r.split(",")),
+                                tuple(int(x) for x in args.frame_n.split(",")))
+        except ValueError as exc:
+            raise MalformedInput(f"bad --frame-r/--frame-n: {exc}") from exc
         if frame.total_framing != len(point):
             raise MalformedInput(
                 f"framing point has {len(point)} coordinates but |r| = {frame.total_framing}"

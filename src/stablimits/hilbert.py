@@ -14,9 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .chars import Character, Monomial, Rat, VariableSet
-
-HILBERT_VARIABLES = VariableSet(equivariant=("a",), hbar="hbar", kahler=("z",))
+from .chars import Character, Monomial, Rat
 
 
 class ComponentMismatch(ValueError):
@@ -337,7 +335,7 @@ def conjugation_matrices(
         rank_moving = ind.rank() - ind.invariant_part(weight).rank()
         signs.append(-1 if rank_moving % 2 else 1)
         h_exps.append(m_hilbert(d, w, conv))
-        limit_exps.append(index_exponent(d, w, conv))
+        limit_exps.append(ind.symmetric_floor_pairing(weight))
     return DiagonalMatrices(
         tuple(component), tuple(z_exps), tuple(signs), tuple(h_exps), tuple(limit_exps)
     )
@@ -417,17 +415,6 @@ def difference_scan(
                             if stop_early:
                                 return violations
     return violations
-
-
-def floor_difference_violations(
-    conv: ConventionSet,
-    n_max: int,
-    b_values: tuple[int, ...] = (2, 3, 4),
-    numerator_factor: int = 4,
-    stop_early: bool = True,
-) -> list[tuple]:
-    """The plain floor-sum variant of difference_scan."""
-    return difference_scan(conv, n_max, b_values, numerator_factor, "floor", stop_early)
 
 
 def calibrate(

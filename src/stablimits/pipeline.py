@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .balanced import (
     BalancedExpression,
@@ -21,12 +21,10 @@ from .balanced import (
     InconsistentBundle,
     KahlerChamber,
     NormalizationMismatch,
-    chamber_correction,
+    double_limit,
     has_separated_poles,
     is_balanced_in,
-    q_limit,
     quasiperiod_pairing,
-    z_limit,
 )
 from .chars import (
     Character,
@@ -53,6 +51,22 @@ class MalformedInput(ValueError):
     """The matrix JSON or metadata cannot be interpreted."""
 
 
+def _names(value, what: str) -> tuple[str, ...]:
+    """A JSON list of strings; a bare string is not split into characters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise MalformedInput(f"{what} must be a list of strings")
+    return tuple(value)
+
+
+def _weight(w: Rat | Mapping[str, Rat], names: Sequence[str]) -> dict[str, Fraction]:
+    """The shift as a mapping; a scalar shifts the single variable in ``names``."""
+    if not isinstance(w, (int, Fraction)):
+        return {k: Fraction(v) for k, v in w.items()}
+    if len(names) != 1:
+        raise MalformedInput("scalar w needs exactly one equivariant variable")
+    return {names[0]: Fraction(w)}
+
+
 class EntryLimitError(RuntimeError):
     """A limit failed for one entry; carries the (row, col) address."""
 
@@ -72,11 +86,15 @@ class CheckRecord:
     passed: bool | None
     detail: str = ""
 
+    @property
+    def status(self) -> str:
+        return "skipped" if self.passed is None else ("pass" if self.passed else "fail")
+
     def to_json(self) -> dict:
         return {
             "check": self.name,
             "subject": self.subject,
-            "status": "skipped" if self.passed is None else ("pass" if self.passed else "fail"),
+            "status": self.status,
             "detail": self.detail,
         }
 
@@ -91,13 +109,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return all(r.passed is not False for r in self.records)
-
-    def counts(self) -> dict[str, int]:
-        run = sum(1 for r in self.records if r.passed is not None)
-        passed = sum(1 for r in self.records if r.passed is True)
-        failed = sum(1 for r in self.records if r.passed is False)
-        skipped = sum(1 for r in self.records if r.passed is None)
-        return {"checks": run, "passed": passed, "failed": failed, "skipped": skipped}
 
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if r.passed is False]
@@ -148,9 +159,8 @@ class MatrixMetadata:
     def from_json(cls, data: Mapping) -> "MatrixMetadata":
         try:
             v = data["variables"]
-            variables = VariableSet(
-                tuple(v["equivariant"]), v.get("hbar", "hbar"), tuple(v.get("kahler", ()))
-            )
+            variables = VariableSet(_names(v["equivariant"], "equivariant variables"),
+                                    v.get("hbar", "hbar"), _names(v.get("kahler", []), "Kahler variables"))
         except (KeyError, TypeError) as exc:
             raise MalformedInput(f"bad variables block: {exc}") from exc
         convention = None
@@ -162,6 +172,11 @@ class MatrixMetadata:
             polarizations = {
                 k: Character.from_json(v) for k, v in data["polarizations"].items()
             }
+            # A tangent weight is a nontrivial character with integer exponents.
+            bad = [m for P in polarizations.values() for m, _ in P.items()
+                   if m.is_trivial or any(e.denominator != 1 for e in m.exponents().values())]
+            if bad:
+                raise MalformedInput(f"polarization weight {bad[0].to_text() or '1'} is trivial or fractional")
         slopes = None
         if "slopes" in data:
             slopes = {k: rat_from_str(v) for k, v in data["slopes"].items()}
@@ -174,7 +189,7 @@ class MatrixMetadata:
         return cls(
             variables=variables,
             convention=convention,
-            order=tuple(data["order"]) if "order" in data else None,
+            order=_names(data["order"], "order") if "order" in data else None,
             polarizations=polarizations,
             d_values={k: int(v) for k, v in data["d_values"].items()} if "d_values" in data else None,
             slopes=slopes,
@@ -218,7 +233,7 @@ class RestrictionMatrix:
     @classmethod
     def from_json(cls, data: Mapping) -> "RestrictionMatrix":
         try:
-            labels = tuple(str(l) for l in data["labels"])
+            labels = _names(data["labels"], "labels")
             metadata = MatrixMetadata.from_json(data.get("metadata", {}))
             entries = {}
             for rec in data.get("entries", ()):
@@ -230,7 +245,7 @@ class RestrictionMatrix:
                 entries[(row, col)] = BalancedExpression.from_json(rec["expr"])
         except MalformedInput:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"bad restriction matrix JSON: {exc}") from exc
         return cls(labels, entries, metadata)
 
@@ -338,7 +353,6 @@ class KMatrixCandidate:
 class LimitOutcome:
     matrix: KMatrixCandidate
     conjugation: DiagonalMatrices | None  # present for diagram labels
-    validation: Report
 
 
 def apply_limit_theorem(
@@ -355,14 +369,12 @@ def apply_limit_theorem(
     report of ``validate_section`` on this matrix, if already computed.
     """
     variables = matrix.metadata.variables
-    if isinstance(w, (int, Fraction)):
-        if len(variables.equivariant) != 1:
-            raise MalformedInput("scalar w needs exactly one equivariant variable")
-        weight: Mapping[str, Rat] = {variables.equivariant[0]: Fraction(w)}
-    else:
-        weight = {k: Fraction(v) for k, v in w.items()}
+    weight = _weight(w, variables.equivariant)
     if isinstance(chamber, str):
-        chamber = KahlerChamber.uniform(variables.kahler, chamber)
+        try:
+            chamber = KahlerChamber.uniform(variables.kahler, chamber)
+        except ValueError as exc:
+            raise MalformedInput(f"bad Kahler chamber: {exc}") from exc
 
     # Kahler-side diagnostics (balance in z, pole separation, degree pairing)
     # stay report-level: synthetic sections may fail them and still have
@@ -392,16 +404,13 @@ def apply_limit_theorem(
         if row == col or expr.is_zero:
             continue
         try:
-            pairing = quasiperiod_pairing(expr, variables)
-            normalization, value = q_limit(expr, weight, variables)
-            correction = chamber_correction(pairing, weight, normalization, chamber)
-            limit = z_limit(value, chamber, correction * normalization)
+            limit = double_limit(expr, weight, chamber, variables)
         except (LimitUndefined, DivergentLimit, NormalizationMismatch) as exc:
             raise EntryLimitError(row, col, exc) from exc
         if not limit.is_zero:
             entries[(row, col)] = limit
     candidate = KMatrixCandidate(matrix.labels, entries)
-    return LimitOutcome(candidate, conj, validation)
+    return LimitOutcome(candidate, conj)
 
 
 def euler_arguments(
@@ -427,8 +436,7 @@ def euler_ratio_limit(
     binomials; no q survives and no fractional equivariant exponents appear
     beyond the monomial prefactor.
     """
-    if isinstance(weight, (int, Fraction)):
-        weight = {"a": Fraction(weight)}
+    weight = _weight(weight, ("a",))
     num_n, den_n = euler_arguments(N_minus, weight)
     num_p, den_p = euler_arguments(P, weight)
     result = theta_ratio_limit(num_n + den_p, den_n + num_p)
@@ -460,8 +468,7 @@ def diagonal_exponent(
     (-1)^(rank of the moving part of the index), and E has the closed form
     given by the symmetrized floor pairing of the index.
     """
-    if isinstance(weight, (int, Fraction)):
-        weight = {"a": Fraction(weight)}
+    weight = _weight(weight, tuple(direction))
     N_minus = normal_negative(P, direction, hbar)
     limit = euler_ratio_limit(P, N_minus, weight)
     invariant_value = (
@@ -497,8 +504,7 @@ def expected_diagonal(
 
     built entirely from the polarization restriction, the chamber, and w.
     """
-    if isinstance(weight, (int, Fraction)):
-        weight = {"a": Fraction(weight)}
+    weight = _weight(weight, tuple(direction))
     N_minus = normal_negative(P, direction, hbar)
     core = euler_ratio_limit(P, N_minus, weight)
     invariant = P.invariant_part(weight)
@@ -506,33 +512,6 @@ def expected_diagonal(
     _, zero_part, _ = P.chamber_split(direction)
     det_half = zero_part.determinant().sqrt()
     return (core * euler).times_monomial(det_half)
-
-
-def closed_form_diagonal(
-    P: Character,
-    weight: Rat | Mapping[str, Rat],
-    direction: Mapping[str, Rat],
-    hbar: str = "hbar",
-) -> RationalExpr:
-    """The closed-form diagonal (sign * hbar-power / det(ind) * Euler part).
-
-    Kept for comparison; its monomial bookkeeping matches the forward
-    computation only up to convention-dependent monomial factors, which is
-    exactly what the calibration scan quantifies.
-    """
-    if isinstance(weight, (int, Fraction)):
-        weight = {"a": Fraction(weight)}
-    ind, _, _ = P.chamber_split(direction)
-    ind_inv = ind.invariant_part(weight)
-    sign = -1 if (ind.rank() - ind_inv.rank()) % 2 else 1
-    floor_sum = ind.floor_pairing(weight)
-    hbar_exp = Fraction(floor_sum) + Fraction(ind.rank(), 2)
-    if hbar_exp.denominator not in (1, 2):
-        raise ValueError("hbar exponent left the half-integer lattice")
-    N_minus = normal_negative(P, direction, hbar)
-    euler = N_minus.invariant_part(weight).conjugate().exterior_euler()
-    prefactor = Monomial.variable(hbar, hbar_exp) / ind.determinant()
-    return (euler * sign).times_monomial(prefactor)
 
 
 def check_stab_axioms(
@@ -572,6 +551,7 @@ def check_stab_axioms(
     can_forward = (
         metadata.polarizations is not None and direction is not None and w is not None
     )
+    expected: dict[str, RationalExpr] = {}  # forward diagonal per label, for both checks
     for label in candidate.labels:
         if not can_forward:
             report.add("diagonal-normalization", label, None, "needs polarizations, convention, w")
@@ -580,14 +560,14 @@ def check_stab_axioms(
         if P is None:
             report.add("diagonal-normalization", label, None, "no polarization supplied")
             continue
-        expected = expected_diagonal(P, w, direction, variables.hbar)
+        expected[label] = expected_diagonal(P, w, direction, variables.hbar)
         supplied = (metadata.unnormalized_diagonal or {}).get(label)
         if supplied is None:
             report.add("diagonal-normalization", label, None, "no unnormalized diagonal supplied")
             continue
-        same = supplied == expected
+        same = supplied == expected[label]
         detail = "" if same else (
-            f"supplied {supplied!r}, expected {expected!r}"
+            f"supplied {supplied!r}, expected {expected[label]!r}"
         )
         report.add("diagonal-normalization", label, same, detail)
 
@@ -599,14 +579,11 @@ def check_stab_axioms(
         if slopes is None or row not in slopes or col not in slopes:
             report.add("degree-window", subject, None, "no slope data")
             continue
-        if not can_forward or metadata.polarizations.get(col) is None:
+        if col not in expected:
             report.add("degree-window", subject, None, "needs diagonal span data")
             continue
         span = entry.degree_span(variables.equivariant)
-        diag = expected_diagonal(
-            metadata.polarizations[col], w, direction, variables.hbar
-        )
-        base = diag.degree_span(variables.equivariant)
+        base = expected[col].degree_span(variables.equivariant)
         shift = slopes[row] - slopes[col]
         lo, hi = base[0] + shift, base[1] + shift
         ok = lo <= span[0] and span[1] <= hi

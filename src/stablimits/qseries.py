@@ -72,10 +72,6 @@ class QSeries:
     def zero(cls, order: Rat) -> "QSeries":
         return cls({}, order)
 
-    @classmethod
-    def constant(cls, ch: Character, order: Rat) -> "QSeries":
-        return cls({Fraction(0): ch}, order)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -92,10 +88,6 @@ class QSeries:
 
     def coefficient(self, e: Rat) -> Character:
         return self.coeffs.get(Fraction(e), Character.zero())
-
-    def truncate(self, order: Rat) -> "QSeries":
-        order = min(Fraction(order), self.order)
-        return QSeries({e: c for e, c in self.coeffs.items() if e < order}, order)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         order = min(self.order, other.order)
@@ -386,18 +378,7 @@ def numeric_theta(x: complex, q: complex, tolerance: float = 1e-12) -> complex:
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     root = cmath.sqrt(x)
-    out = root - 1 / root
-    qi = q
-    while True:
-        d1 = qi * x
-        d2 = qi / x
-        if abs(d1) < tolerance and abs(d2) < tolerance:
-            break
-        out *= (1 - d1) * (1 - d2)
-        qi *= q
-        if abs(qi) < 1e-300:
-            break
-    return out
+    return _times_theta_product(root - 1 / root, x, q, tolerance)
 
 
 def numeric_theta_argument(
@@ -415,15 +396,18 @@ def numeric_theta_argument(
     qs = _qpow(q, arg.qshift)
     qs_half = _qpow(q, arg.qshift / 2)
     x = m_val * qs
-    out = root * qs_half - 1 / (root * qs_half)
-    i = 1
-    while True:
-        d1 = _qpow(q, Fraction(i)) * x
-        d2 = _qpow(q, Fraction(i)) / x
+    return _times_theta_product(root * qs_half - 1 / (root * qs_half), x, q, tolerance)
+
+
+def _times_theta_product(out: complex, x: complex, q: complex, tolerance: float) -> complex:
+    """out * prod_{i >= 1} (1 - q^i x)(1 - q^i / x), up to the first i where both
+    q^i x and q^i / x are below tolerance, which must come within 10 000 factors."""
+    qi = q
+    for _ in range(10_000):
+        d1 = qi * x
+        d2 = qi / x
         if abs(d1) < tolerance and abs(d2) < tolerance:
-            break
+            return out
         out *= (1 - d1) * (1 - d2)
-        i += 1
-        if i > 10_000:
-            raise NonConvergence("theta product did not stabilize")
-    return out
+        qi *= q
+    raise NonConvergence("theta product did not stabilize")

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablimits.balanced import BalancedExpression, theta
 from stablimits.cli import main
@@ -238,3 +242,111 @@ def test_theta_verify_balanced_golden_output(tmp_path):
 
     expected = (GOLDEN / "theta-verify-balanced.jsonl").read_text()
     assert records(out_path.read_text()) == records(expected)
+
+
+def _fixture() -> dict:
+    return json.loads((GOLDEN / "restriction_matrix.json").read_text())
+
+
+def _statuses(path, chamber):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["limit-apply", "--input", str(path), "--w=1", "--chamber", chamber])
+    recs = [json.loads(line) for line in out.getvalue().splitlines()]
+    return code, [(r.get("phase"), r.get("check"), r.get("subject"), r.get("status")) for r in recs]
+
+
+@pytest.mark.parametrize("chamber", ["zero", "infinity"])
+def test_limit_apply_equivariant_variable_not_named_a(tmp_path, chamber):
+    """A scalar --w shifts the matrix's own equivariant variable."""
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text((GOLDEN / "restriction_matrix.json").read_text().replace('"a"', '"t"'))
+    assert json.loads(renamed.read_text())["metadata"]["variables"]["equivariant"] == ["t"]
+    assert _statuses(renamed, chamber) == _statuses(GOLDEN / "restriction_matrix.json", chamber)
+
+
+def _set(path, value):
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+MALFORMED_MATRICES = {  # case: (edit, a fragment of the error line)
+    "no-kahler-variable": (_set(("metadata", "variables", "kahler"), []), "Kahler chamber"),
+    "qshift-division-by-zero": (
+        _set(("entries", 1, "expr", "terms", 0, "num", 0, "qshift"), "1/0"), "bad restriction"),
+    "diagonal-with-zero-den": (
+        _set(("metadata", "unnormalized_diagonal", "4", "den"), {"terms": []}), "bad restriction"),
+    "equivariant-is-a-string": (
+        _set(("metadata", "variables", "equivariant"), "ab"), "list of strings"),
+    "labels-is-a-string": (_set(("labels",), "4"), "list of strings"),
+    "trivial-polarization-weight": (
+        _set(("metadata", "polarizations", "4", "terms", 0, "exp"), {}), "polarization"),
+    "fractional-polarization-weight": (
+        _set(("metadata", "polarizations", "4", "terms", 0, "exp"), {"a": "1/2"}), "polarization"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+def test_limit_apply_malformed_matrix_exits_2(tmp_path, capsys, case):
+    edit, fragment = MALFORMED_MATRICES[case]
+    data = _fixture()
+    edit(data)
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(data))
+    assert main(["limit-apply", "--input", str(path), "--w=1"]) == 2
+    assert fragment in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["framing-blocks", "--w", "0,1", "--frame-r", "x", "--frame-n", "1"],
+    ["framing-blocks", "--w", "0,1", "--frame-r", "2", "--frame-n", "1,1"],
+    ["component-enum", "--n", "2", "--b", "0"],
+    ["component-enum", "--n", "-2", "--b", "2"],
+])
+def test_malformed_arguments_exit_2(capsys, argv):
+    assert main(argv) == 2
+    _one_line_error(capsys)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-20, 20) | st.floats(width=32)
+    | st.text("0123456789/-,.az", max_size=5)
+    | st.sampled_from(["a", "z", "t", "hbar", "1/0", "1/2", "zero"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["a", "z", "hbar", "exp", "qshift", "terms", "num", "den", "mult"]),
+        inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(list(_paths(_fixture()))[1:]), value=_JSON_VALUES,
+       chamber=st.sampled_from(["zero", "infinity"]))
+def test_limit_apply_fuzzed_matrix_never_raises(path, value, chamber):
+    """One leaf or subtree of the fixture replaced by random JSON: limit-apply
+    reports, fails a check or rejects the input, but never raises."""
+    data = _fixture()
+    _set(path, value)(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix = pathlib.Path(tmp) / "matrix.json"
+        matrix.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["limit-apply", "--input", str(matrix), "--w=1", "--chamber", chamber])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -201,6 +201,17 @@ def test_numeric_theta_rejects_big_q():
         numeric_theta(2.0, 1.5)
 
 
+def test_numeric_theta_gives_up_after_ten_thousand_factors():
+    """At q = 0.999 the product needs about 2.8e4 factors to reach 1e-12."""
+    ctx = NumericContext.from_values({"a": 2.0})
+    with pytest.raises(NonConvergence):
+        numeric_theta(2.0, 0.999)
+    with pytest.raises(NonConvergence):
+        numeric_theta_argument(ThetaArgument(A), 0.999, ctx)
+    assert numeric_theta(2.0, 0.99) == pytest.approx(
+        numeric_theta_argument(ThetaArgument(A), 0.99, ctx), rel=1e-9)
+
+
 @given(st.integers(-4, 4), st.integers(1, 4))
 @settings(max_examples=20, deadline=None)
 def test_numeric_argument_matches_series_for_shifts(p, r):
