@@ -8,11 +8,15 @@ character times a multiset of (1 - m) factors, the shape of every
 denominator the limit engine creates.  Sums, quotients and equality take the
 least common multiple of the two multisets, and only then cross-multiply;
 where (1 - m) on the left meets (1 - 1/m) on the right, the right one is
-rewritten as (1 - 1/m) == -(1/m)(1 - m).  Equality is exact.
+rewritten as (1 - 1/m) == -(1/m)(1 - m).  Equality first moves each factor
+that exactly divides the other side's remainder (as read whole from JSON) into
+that side's multiset, by long division.  Equality is exact.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -31,10 +35,12 @@ class ZeroFactorError(ZeroDivisionError):
 
 
 def _as_doubled(e: Rat) -> int:
-    f = Fraction(e)
+    if isinstance(e, int):
+        return 2 * e
+    f = e if isinstance(e, Fraction) else Fraction(e)
     if f.denominator not in (1, 2):
         raise ExponentError(f"exponent {f} is not a half-integer")
-    return int(f * 2)
+    return f.numerator * (2 // f.denominator)
 
 
 def rat_to_str(r: Rat) -> str:
@@ -84,11 +90,12 @@ class Monomial:
     def variable(cls, name: str, exponent: Rat = 1) -> "Monomial":
         return cls({name: exponent})
 
-    def exponent(self, var: str) -> Fraction:
+    def exponent(self, var: str) -> Rat:
+        """The exponent of var: an int when integral, else a half-integer Fraction."""
         for v, e2 in self._exp2:
             if v == var:
-                return Fraction(e2, 2)
-        return Fraction(0)
+                return Fraction(e2, 2) if e2 % 2 else e2 // 2
+        return 0
 
     def exponents(self) -> dict[str, Fraction]:
         return {v: Fraction(e2, 2) for v, e2 in self._exp2}
@@ -159,18 +166,10 @@ class Monomial:
         return f"Monomial({self.to_text() or '1'})"
 
     def to_text(self) -> str:
-        parts = []
-        for v, e2 in self._exp2:
-            e = Fraction(e2, 2)
-            parts.append(v if e == 1 else f"{v}^{rat_to_str(e)}")
-        return "*".join(parts)
+        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.to_json().items())
 
     def to_json(self) -> dict[str, str | int]:
-        out: dict[str, str | int] = {}
-        for v, e2 in self._exp2:
-            e = Fraction(e2, 2)
-            out[v] = int(e) if e.denominator == 1 else rat_to_str(e)
-        return out
+        return {v: f"{e2}/2" if e2 % 2 else e2 // 2 for v, e2 in self._exp2}
 
     @classmethod
     def from_json(cls, data: Mapping[str, str | int | float]) -> "Monomial":
@@ -480,6 +479,37 @@ def _expand(ch: Character, factors: Mapping[Monomial, int]) -> Character:
     return ch
 
 
+def _divide_one_minus(ch: Character, m: Monomial) -> Character | None:
+    """ch / (1 - m) if the division is exact, else None.
+
+    Long division from the lowest term, graded by m's doubled exponents: the
+    lowest remainder term t enters the quotient and moves up to t * m.  A nonzero
+    rank, or a t * m past the top grade of ch, means the division is not exact.
+    """
+    if ch.rank():
+        return None
+    direction = dict(m._exp2)
+    step = sum(e2 * e2 for e2 in direction.values())
+    order = itertools.count()  # ties of grade never compare monomials
+    heap = [(sum(e2 * direction.get(v, 0) for v, e2 in t._exp2), next(order), t) for t in ch._terms]
+    top = max((g for g, _, _ in heap), default=0)
+    heapq.heapify(heap)
+    rem, quotient = dict(ch._terms), {}
+    while heap:
+        g, _, t = heapq.heappop(heap)
+        c = rem.pop(t, 0)
+        if not c:
+            continue
+        if g + step > top:
+            return None
+        quotient[t] = c
+        tm = t * m
+        if tm not in rem:
+            heapq.heappush(heap, (g + step, next(order), tm))
+        rem[tm] = rem.get(tm, 0) + c
+    return Character(quotient)
+
+
 # How one side reaches a common multiset L: 1/prod F == sign * mono * prod M / prod L.
 _Lift = tuple[int, Monomial, dict[Monomial, int]]
 
@@ -538,7 +568,9 @@ class RationalExpr:
     (1 - m) == -m (1 - 1/m), a (1 - 1/m) on the right operand that meets a
     (1 - m) on the left is rewritten in the left's orientation, as
     1/(1 - 1/m) == -m/(1 - m), and only there, at merge time.  Equality
-    stays exact.
+    first divides copies of each ``rest`` by the other side's (1 - m) factors,
+    one at a time, and moves each exact divisor into the copy's multiset.
+    Equality stays exact.
     """
 
     __slots__ = ("num", "rest", "factors")
@@ -642,8 +674,19 @@ class RationalExpr:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
-        n1, n2, _ = self._over_common(other)
+        n1, n2, _ = self._absorb(other.factors)._over_common(other._absorb(self.factors))
         return n1 == n2
+
+    def _absorb(self, factors: Mapping[Monomial, int]) -> "RationalExpr":
+        """The same value with each (1 - m) of factors that divides rest moved into the multiset."""
+        rest, own = self.rest, dict(self.factors)
+        for m, k in factors.items():
+            for _ in range(k - own.get(m, 0) - own.get(m.inverse(), 0)):
+                quotient = _divide_one_minus(rest, m)
+                if quotient is None:
+                    break
+                rest, own[m] = quotient, own.get(m, 0) + 1
+        return self if rest is self.rest else RationalExpr.factored(self.num, own, rest)
 
     def __hash__(self) -> int:  # weak but consistent: hash of nothing structural
         return hash(("RationalExpr", self.num.is_zero))

@@ -119,6 +119,8 @@ def _convention(args) -> ConventionSet:
 
 
 def _cmd_theta_verify(args) -> int:
+    if args.w_denoms < 1:
+        raise MalformedInput("--w-denoms must be positive")
     out = _Output(args.output)
     order = _parse_rational(args.order)
     if order <= 0:
@@ -225,6 +227,8 @@ def _rate_consistent(expr, weight, norm, value, ctx) -> bool:
 
 
 def _cmd_young_report(args) -> int:
+    if args.b is not None and args.b < 1:
+        raise MalformedInput("--b must be positive")
     out = _Output(args.output)
     conv = _convention(args)
     ws = _parse_rational_list(args.w) if args.w else []
@@ -422,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     convention_flags(p)
     common(p)
 
-    p = sub.add_parser("diflem-scan", help="floor-difference identity scan")
+    p = sub.add_parser("diflem-scan", help="exponent-difference identity scan")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--b-max", type=int, default=4)
     convention_flags(p)

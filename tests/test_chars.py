@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stablimits.chars import (
     Chamber,
@@ -14,6 +14,7 @@ from stablimits.chars import (
     RationalExpr,
     VariableSet,
     ZeroFactorError,
+    _divide_one_minus,
 )
 
 
@@ -255,3 +256,54 @@ def test_numeric_context_consistency():
     m = var("a", Fraction(3, 2))
     assert math.isclose(abs(ctx.monomial(m)), 2 ** 1.5)
     assert math.isclose(abs(ctx.monomial_sqrt(m) ** 2 - ctx.monomial(m)), 0, abs_tol=1e-12)
+
+
+def test_exponent_is_an_int_when_integral():
+    m = Monomial({"a": 2, "hbar": Fraction(-3, 2), "z": Fraction(4, 2)})
+    assert type(m.exponent("a")) is int and m.exponent("a") == 2
+    assert type(m.exponent("z")) is int and m.exponent("z") == 2
+    assert m.exponent("hbar") == Fraction(-3, 2)
+    assert type(m.exponent("b")) is int and m.exponent("b") == 0
+    assert m == Monomial({"a": Fraction(2), "hbar": -1.5, "z": 2})
+    with pytest.raises(ExponentError):
+        Monomial({"a": Fraction(1, 3)})
+
+
+def test_divide_one_minus():
+    a = var("a")
+    assert _divide_one_minus(ch("1 + -1*a^2"), a) == ch("1 + 1*a")
+    assert _divide_one_minus(ch("1 + -1*a"), a.inverse()) == ch("-1*a")
+    assert _divide_one_minus(ch("1 + -1*a"), var("a", Fraction(1, 2))) == ch("1 + 1*a^1/2")
+    assert _divide_one_minus(
+        ch("1 + 1*b + -1*a*hbar^-1 + -1*a*b*hbar^-1"), Monomial({"a": 1, "hbar": -1})
+    ) == ch("1 + 1*b")
+    assert _divide_one_minus(Character.zero(), a).is_zero
+    # not exact: a nonzero rank, and a zero rank that still leaves a remainder
+    assert _divide_one_minus(ch("1 + 1*a"), a) is None
+    assert _divide_one_minus(ch("1 + -1*a^3"), a ** 2) is None
+    assert _divide_one_minus(ch("1 + -1*a^1/2"), a) is None
+
+
+@settings(max_examples=50)
+@given(characters, monomials)
+def test_divide_one_minus_undoes_the_product(q, m):
+    assume(not m.is_trivial)
+    product = q * Character({ONE: 1, m: -1})
+    assert _divide_one_minus(product, m) == q
+    assert _divide_one_minus(product + Character.monomial(m ** 3), m) is None
+
+
+def test_equality_leaves_operands_unchanged():
+    a, b = var("a"), var("b")
+    x = RationalExpr.factored(ch("1 + 1*b"), {a: 2, b.inverse(): 1}, ch("2 + 1*b"))
+    whole = RationalExpr(x.num, x.den)
+
+    def state(e):
+        return e.num, e.rest, e.num.to_text(), e.rest.to_text(), dict(e.factors)
+
+    before = [state(e) for e in (x, whole)]
+    assert x == whole and whole == x
+    assert not (whole == x.times_monomial(a))
+    after = [state(e) for e in (x, whole)]
+    assert all(s0[0] is s1[0] and s0[1] is s1[1] for s0, s1 in zip(before, after))
+    assert after == before

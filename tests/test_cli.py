@@ -306,6 +306,8 @@ def test_limit_apply_malformed_matrix_exits_2(tmp_path, capsys, case):
     ["framing-blocks", "--w", "0,1", "--frame-r", "2", "--frame-n", "1,1"],
     ["component-enum", "--n", "2", "--b", "0"],
     ["component-enum", "--n", "-2", "--b", "2"],
+    ["theta-verify", "--w-denoms", "0", "--balanced-samples", "1"],
+    ["young-report", "--b", "-1"],
 ])
 def test_malformed_arguments_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -347,6 +349,47 @@ def test_limit_apply_fuzzed_matrix_never_raises(path, value, chamber):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["limit-apply", "--input", str(matrix), "--w=1", "--chamber", chamber])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+_RATIONAL_LISTS = st.text("0123/-,.x", max_size=5) | st.sampled_from(["1/2", "1/0", "-1", "0", "2/3,1"])
+_INTEGER_LISTS = st.text("0123,-x", max_size=4)
+_CONVENTION_FLAGS = {"--content": st.sampled_from(["i-j", "j-i"]),
+                     "--attract": st.sampled_from(["pos", "neg"])}
+# command: (flags always given, flags sometimes given).  Values pass argparse's
+# own type and choice checks, so each example reaches the command.  Sizes stay
+# small, and --n-max is always given where its default scan takes a second.
+ARGV_FLAGS = {
+    "diflem-scan": ({"--n-max": st.integers(-1, 4)},
+                    {"--b-max": st.integers(-1, 3), **_CONVENTION_FLAGS}),
+    "calibrate": ({"--n-max": st.integers(-1, 4)}, {"--b-max": st.integers(-1, 3)}),
+    "young-report": ({}, {"--n-max": st.integers(-1, 4), "--b": st.integers(-2, 4),
+                          "--w": _RATIONAL_LISTS, **_CONVENTION_FLAGS}),
+    "component-enum": ({"--n": st.integers(-2, 5), "--b": st.integers(-2, 4)},
+                       {"--w": _RATIONAL_LISTS, **_CONVENTION_FLAGS}),
+    "framing-blocks": ({"--w": _RATIONAL_LISTS},
+                       {"--frame-r": _INTEGER_LISTS, "--frame-n": _INTEGER_LISTS}),
+    "theta-verify": ({}, {
+        "--order": st.text("012/-.x", max_size=2) | st.sampled_from(["1/0", "3/2", "4"]),
+        "--w-denoms": st.integers(-1, 3), "--balanced-samples": st.integers(-1, 2),
+        "--seed": st.integers(0, 9), "--tolerance": st.floats(allow_nan=True)}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV_FLAGS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_arguments_never_raise(command, data):
+    """Random values for a command's flags: it reports, fails a check or
+    rejects the input with one error line, but never raises."""
+    required, optional = ARGV_FLAGS[command]
+    flags = data.draw(st.fixed_dictionaries(required, optional=optional))
+    argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

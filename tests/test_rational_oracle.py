@@ -14,7 +14,7 @@ import random
 import pytest
 
 from stablimits.balanced import DivergentLimit, KahlerChamber, z_limit
-from stablimits.chars import Character, Monomial, RationalExpr
+from stablimits.chars import Character, Monomial, RationalExpr, _divide_one_minus
 
 sympy = pytest.importorskip("sympy")
 
@@ -111,6 +111,40 @@ def test_equality_matches_sympy():
         # and an unequal neighbour
         other = flipped + RationalExpr.from_monomial(random_monomial(rng))
         assert not (other == x)
+
+
+def whole(x: RationalExpr) -> RationalExpr:
+    """x with its denominator expanded into one character, as read from JSON."""
+    return RationalExpr(x.num, x.den)
+
+
+def flipped_whole(x: RationalExpr) -> RationalExpr:
+    """x over its factors turned to (1 - 1/m), each with -1/m in the numerator,
+    denominator expanded."""
+    num, factors = x.num, {}
+    for m, k in x.factors.items():
+        num = num.times_monomial(m.inverse() ** k) * (-1) ** k
+        factors[m.inverse()] = factors.get(m.inverse(), 0) + k
+    return whole(RationalExpr.factored(num, factors, x.rest))
+
+
+def test_equality_with_whole_denominators_matches_sympy():
+    rng = random.Random(15)
+    q = Monomial({"hbar": 5})  # (1 - hbar^5) divides no denominator drawn here
+    for (x, sx), (y, sy) in cases(16, 200):
+        for w in (whole(x), flipped_whole(x)):
+            assert same(to_sympy(w), sx)
+            assert w == x and x == w
+            assert (w == y) == same(sx, sy) and (y == w) == same(sx, sy)
+            other = RationalExpr(w.num + random_character(rng, 1), w.rest)
+            assert not (other == x) and not (x == other)
+        # a factor of x that does not divide the other side's whole denominator
+        padded = RationalExpr.factored(
+            x.num * Character({Monomial(): 1, q: -1}), {**x.factors, q: 1}, x.rest
+        )
+        assert _divide_one_minus(whole(x).rest, q) is None
+        assert padded == whole(x) and whole(x) == padded
+        assert (padded == whole(y)) == same(sx, sy)
 
 
 def sympy_leading(value, direction: str):
