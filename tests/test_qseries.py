@@ -1,10 +1,21 @@
 import cmath
+import json
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablimits.chars import Character, Monomial, NumericContext, ONE, RationalExpr
+from stablimits.chars import (
+    Character,
+    ExponentError,
+    Monomial,
+    NumericContext,
+    ONE,
+    RationalExpr,
+    rat_to_str,
+)
 from stablimits.qseries import (
     LimitUndefined,
     NonConvergence,
@@ -68,6 +79,62 @@ def test_theta_series_trivial_argument_vanishes():
     assert theta_series(ThetaArgument(ONE), 5).is_zero
     assert theta_series(ThetaArgument(ONE, Fraction(2)), 5).is_zero
     assert not theta_series(ThetaArgument(ONE, half), 2).is_zero
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+def _theta_series_cases() -> list[tuple[ThetaArgument, Fraction]]:
+    """A seeded grid of (argument, order): monomials in a, z, hbar with
+    exponents in [-2, 2] and the trivial monomial at fractional shifts; shifts
+    p/r with r <= 6 of both signs and integral; orders at or below the
+    valuation, exactly at a term exponent, integral and fractional."""
+    rng = random.Random(20260)
+    cases = []
+    for i in range(80):
+        if i % 10 == 9:
+            mono, r = ONE, rng.randint(2, 6)
+            shift = Fraction(rng.choice([p for p in range(-2 * r, 2 * r + 1) if p % r]), r)
+        else:
+            exps = {v: rng.randint(-2, 2) for v in ("a", "z", "hbar") if rng.random() < 0.6}
+            mono = Monomial(exps) if any(exps.values()) else Monomial.variable("a", rng.choice([-1, 1]))
+            r = rng.choice([1, 1, 2, 3, 4, 5, 6])
+            shift = Fraction(rng.randint(-2 * r, 2 * r), r)
+        arg = ThetaArgument(mono, shift)
+        valuation = theta_leading(arg).valuation
+        kind = i % 4
+        if kind == 0:
+            order = valuation - Fraction(rng.randint(0, 2), rng.randint(1, 3))
+        elif kind == 1:
+            terms = sorted(theta_series(arg, valuation + 4).coeffs)
+            order = terms[rng.randint(1, len(terms) - 1)]
+        elif kind == 2:
+            order = valuation.__floor__() + rng.randint(1, 4)
+        else:
+            order = valuation + Fraction(rng.randint(1, 17), rng.randint(2, 6))
+        cases.append((arg, order))
+    return cases
+
+
+def _theta_series_golden() -> str:
+    lines = []
+    for arg, order in _theta_series_cases():
+        coeffs = theta_series(arg, order).coeffs
+        lines.append(json.dumps({
+            "arg": arg.to_json(),
+            "order": rat_to_str(order),
+            "coeffs": {rat_to_str(e): coeffs[e].to_text() for e in sorted(coeffs)},
+        }) + "\n")
+    return "".join(lines)
+
+
+def test_theta_series_golden():
+    """Every coefficient, and the truncation boundary, of a seeded grid stays
+    byte-identical to the committed expansion (``tests/data/theta-series.jsonl``,
+    the output of ``_theta_series_golden``)."""
+    assert _theta_series_golden() == (GOLDEN / "theta-series.jsonl").read_text()
+    with pytest.raises(ExponentError):
+        theta_series(ThetaArgument(Monomial.variable("a", half)), 2)
 
 
 def test_oddness():
