@@ -731,14 +731,14 @@ class NumericContext:
 
     def monomial(self, m: Monomial) -> complex:
         out = 1.0 + 0.0j
-        for v, e in m.exponents().items():
-            out *= self._q[v] ** int(4 * e)
+        for v, e2 in m._exp2:
+            out *= self._q[v] ** (2 * e2)
         return out
 
     def monomial_sqrt(self, m: Monomial) -> complex:
         out = 1.0 + 0.0j
-        for v, e in m.exponents().items():
-            out *= self._q[v] ** int(2 * e)
+        for v, e2 in m._exp2:
+            out *= self._q[v] ** e2
         return out
 
     def character(self, ch: Character) -> complex:

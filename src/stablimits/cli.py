@@ -63,9 +63,12 @@ EXIT_MALFORMED = 2
 
 
 class _Output:
+    """JSON-lines sink; a file is created only when its first line is written,
+    so a command that rejects its input leaves no file behind."""
+
     def __init__(self, path: str | None):
-        self._fh = open(path, "w") if path else sys.stdout
-        self._own = path is not None
+        self._path = path
+        self._fh = None if path else sys.stdout
         self.checks = 0
         self.passed = 0
         self.failed = 0
@@ -82,6 +85,11 @@ class _Output:
                 self.failed += 1
             elif status == "skipped":
                 self.skipped += 1
+        self._write(payload)
+
+    def _write(self, payload: dict):
+        if self._fh is None:
+            self._fh = open(self._path, "w")
         self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
     def finish(self, command: str) -> int:
@@ -96,8 +104,8 @@ class _Output:
                 "exit": code,
             }
         }
-        self._fh.write(json.dumps(summary, sort_keys=True) + "\n")
-        if self._own:
+        self._write(summary)
+        if self._path:
             self._fh.close()
             print(json.dumps(summary, sort_keys=True))
         return code
@@ -292,6 +300,7 @@ def _cmd_diflem_scan(args) -> int:
 def _cmd_component_enum(args) -> int:
     if args.n < 0 or args.b < 1:
         raise MalformedInput("--n must be nonnegative and --b positive")
+    w = _parse_rational(args.w) if args.w is not None else None
     out = _Output(args.output)
     conv = _convention(args)
     components = enumerate_components(args.n, args.b, conv)
@@ -302,11 +311,9 @@ def _cmd_component_enum(args) -> int:
             "count": len(diagrams),
             "diagrams": [str(d) for d in diagrams],
         }
-        if args.w is not None:
-            w = _parse_rational(args.w)
-            if w.denominator == args.b:
-                conj = conjugation_matrices(diagrams, w, conv)
-                rec["conjugation"] = conj.to_json()
+        if w is not None and w.denominator == args.b:
+            conj = conjugation_matrices(diagrams, w, conv)
+            rec["conjugation"] = conj.to_json()
         out.record(rec)
     out.record(
         {"check": "component-sizes", "n": args.n, "b": args.b,
@@ -349,13 +356,13 @@ def _cmd_limit_apply(args) -> int:
     out = _Output(args.output)
     if not args.input:
         raise MalformedInput("--input is required for limit-apply")
+    w = _parse_rational(args.w) if args.w else Fraction(0)
     matrix = RestrictionMatrix.load(args.input)
     report = validate_section(matrix)
     for rec in report.records:
         out.record(rec.to_json() | {"phase": "validate"}, rec.status)
     if not report.ok:
         return out.finish("limit-apply")
-    w = _parse_rational(args.w) if args.w else Fraction(0)
     try:
         outcome = apply_limit_theorem(matrix, w, args.chamber, report)
     except EntryLimitError as exc:

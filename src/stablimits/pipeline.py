@@ -382,6 +382,8 @@ def apply_limit_theorem(
     # consistency and the unit diagonal are non-negotiable.
     if validation is None:
         validation = validate_section(matrix)
+    # Exit-code rule: limit-apply reports these failures as `fail` records
+    # (exit 1); without a report to write, this call raises MalformedInput.
     hard = ("balanced-equivariant", "quasiperiod-consistency", "unit-diagonal")
     blocking = [r for r in validation.failures() if r.name in hard]
     if blocking:

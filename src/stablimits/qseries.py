@@ -2,14 +2,17 @@
 
 The expansion engine is exact: q-exponents are Fractions, coefficients are
 Characters, and a series carries the order below which its coefficients are
-complete.  The q->0 behavior of a theta factor is also available in closed
-form (valuation, sign, monomial, optional binomial), which is what the limit
-law consumes; the series engine doubles as an independent check.
+complete.  A theta factor expands by the Jacobi triple product, a sum over
+n in Z times the partition numbers.  The q->0 behavior of a theta factor is
+also available in closed form (valuation, sign, monomial, optional
+binomial), which is what the limit law consumes; the series engine doubles
+as an independent check.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -167,84 +170,43 @@ def _qpow(q: complex, e: Fraction) -> complex:
     return cmath.exp(complex(e) * cmath.log(q))
 
 
-_Poly = dict[Fraction, Character]
-
-
-def _theta_factor_polys(arg: ThetaArgument, order: Fraction) -> list[_Poly]:
-    """Exact polynomial factors of the theta product, enough for the order.
-
-    Returns the two-term prefactor and the finitely many product factors that
-    can touch exponents below ``order``; every omitted factor is 1 + O(q^e)
-    with e large enough not to matter.
-    """
-    m, s = arg.monomial, arg.qshift
-    root = m.sqrt()
-
-    prefactor: _Poly = {}
-    for e, c in ((s / 2, Character.monomial(root)), (-s / 2, Character.monomial(root.inverse(), -1))):
-        prefactor[e] = prefactor.get(e, Character.zero()) + c
-    factors = [prefactor]
-
-    # Valuation of the full product: negative contributions come from the
-    # prefactor and from factors whose q-exponent s+i or i-s is negative.
-    def factor_val(i: int) -> Fraction:
-        return min(Fraction(0), s + i) + min(Fraction(0), i - s)
-
-    n = 1
-    base_val = min(s / 2, -s / 2)
-    while True:
-        val = base_val + sum(factor_val(i) for i in range(1, n + 1))
-        smallest_omitted = min(s + n + 1, Fraction(n + 1) - s)
-        if smallest_omitted > 0 and val + smallest_omitted >= order:
-            break
-        n += 1
-
-    minv = m.inverse()
-
-    def binomial_factor(exponent: Fraction, mono: Monomial) -> _Poly:
-        poly: _Poly = {Fraction(0): Character.one()}
-        bump = Character.monomial(mono, -1)
-        poly[exponent] = poly.get(exponent, Character.zero()) + bump
-        return {e: c for e, c in poly.items() if not c.is_zero}
-
-    for i in range(1, n + 1):
-        factors.append(binomial_factor(s + i, m))
-        factors.append(binomial_factor(Fraction(i) - s, minv))
-    return factors
-
-
 def theta_series(arg: ThetaArgument, order: Rat) -> QSeries:
     """Exact expansion of theta(m * q^s) for q-exponents below ``order``.
 
-    theta(x) = (x^(1/2) - x^(-1/2)) * prod_{i>=1} (1 - x q^i)(1 - q^i / x).
+    theta(x) = (x^(1/2) - x^(-1/2)) * prod_{i>=1} (1 - x q^i)(1 - q^i / x)
+             = sum_{n in Z} (-1)^(n+1) x^(n-1/2) q^(n(n-1)/2) / prod_{i>=1} (1 - q^i)
+    by the Jacobi triple product, and 1 / prod_{i>=1} (1 - q^i) = sum_k p(k) q^k
+    with p the partition numbers.
     """
     order = Fraction(order)
     m, s = arg.monomial, arg.qshift
     if m.is_trivial and s.denominator == 1:
         # theta vanishes identically on integral powers of q.
         return QSeries.zero(order)
-    factors = _theta_factor_polys(arg, order)
+    root = m.sqrt()
 
-    def val(poly: _Poly) -> Fraction:
-        return min(poly) if poly else Fraction(0)
+    def exponent(n: int) -> Fraction:  # of x^(n-1/2) q^(n(n-1)/2) at x = m q^s
+        return (n * (n - 1) + s * (2 * n - 1)) / 2
 
-    # Multiply negative-valuation factors first; while factors with negative
-    # exponents remain pending, keep intermediate terms down to order minus
-    # what those factors can still subtract.
-    factors.sort(key=val)
-    pending_neg = sum((min(val(f), Fraction(0)) for f in factors), Fraction(0))
-    acc: _Poly = {Fraction(0): Character.one()}
-    for f in factors:
-        pending_neg -= min(val(f), Fraction(0))
-        cutoff = order - pending_neg
-        new: _Poly = {}
-        for e1, c1 in acc.items():
-            for e2, c2 in f.items():
-                e = e1 + e2
-                if e < cutoff:
-                    new[e] = new.get(e, Character.zero()) + c1 * c2
-        acc = {e: c for e, c in new.items() if not c.is_zero}
-    return QSeries(acc, order)
+    # exponent(n) is convex in n and smallest at n = -floor(s).
+    lowest = -math.floor(s)
+    # p(k) for every k with exponent(lowest) + k < order.
+    partitions = [1] + [0] * (math.ceil(order - exponent(lowest)) - 1)
+    for i in range(1, len(partitions)):
+        for k in range(i, len(partitions)):
+            partitions[k] += partitions[k - i]
+    coeffs: dict[Fraction, dict[Monomial, int]] = {}
+    for n, step in ((lowest, 1), (lowest - 1, -1)):
+        while (e := exponent(n)) < order:
+            mono = root ** (2 * n - 1)  # m^n m^(-1/2)
+            sign = 1 if n % 2 else -1
+            for k, p in enumerate(partitions):
+                if e + k >= order:
+                    break
+                terms = coeffs.setdefault(e + k, {})
+                terms[mono] = terms.get(mono, 0) + sign * p
+            n += step
+    return QSeries({e: Character(terms) for e, terms in coeffs.items()}, order)
 
 
 def verify_oddness(order: Rat) -> bool:
@@ -280,6 +242,9 @@ class ThetaLeading:
 
 
 def theta_leading(arg: ThetaArgument) -> ThetaLeading:
+    """Closed-form lowest term of theta(m q^s): the lowest term or terms of the
+    triple-product sum in ``theta_series``, n = -floor(s), plus n = 1 - s when
+    s is integral, which gives the binomial."""
     m, s = arg.monomial, arg.qshift
     if m.is_trivial and s.denominator == 1:
         raise LimitUndefined(f"theta(q^{rat_to_str(s)}) vanishes identically")

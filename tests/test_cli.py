@@ -314,6 +314,20 @@ def test_malformed_arguments_exit_2(capsys, argv):
     _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta-verify", "--order", "0"],
+    ["limit-apply", "--input", "/nonexistent.json"],
+    ["limit-apply", "--input", str(GOLDEN / "restriction_matrix.json"), "--w", "1/0"],
+    ["component-enum", "--n", "3", "--b", "2", "--w", "1/0"],
+    ["young-report", "--n-max", "2", "--w", "1/0"],
+])
+def test_rejected_arguments_leave_no_output_file(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.jsonl"
+    assert main([*argv, "--output", str(out_path)]) == 2
+    _one_line_error(capsys)
+    assert not out_path.exists()
+
+
 def _paths(node, prefix=()):
     yield prefix
     children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()

@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
@@ -109,7 +110,7 @@ def _theta_series_cases() -> list[tuple[ThetaArgument, Fraction]]:
             terms = sorted(theta_series(arg, valuation + 4).coeffs)
             order = terms[rng.randint(1, len(terms) - 1)]
         elif kind == 2:
-            order = valuation.__floor__() + rng.randint(1, 4)
+            order = math.floor(valuation) + rng.randint(1, 4)
         else:
             order = valuation + Fraction(rng.randint(1, 17), rng.randint(2, 6))
         cases.append((arg, order))
