@@ -194,7 +194,7 @@ def _pairing_sums(
     acc: dict[tuple[str, str], Rat] = {}
     for args, sgn in ((numerator, 1), (denominator, -1)):
         for a in args:
-            exps = a.monomial.exponents()
+            exps = dict(a.monomial.doubled())
             for av in variables.equivariant:
                 ea = exps.get(av)
                 if not ea:
@@ -203,13 +203,15 @@ def _pairing_sums(
                     ev = exps.get(v)
                     if not ev:
                         continue
-                    prod = ea * ev
-                    if prod.denominator == 1:
-                        prod = int(prod)
+                    prod = ea * ev  # four times n*m
+                    if prod % 4 == 0:
+                        prod //= 4
                     elif v != variables.hbar:
                         raise InconsistentBundle(
-                            f"fractional quasiperiod pairing {prod} for ({av},{v})"
+                            f"fractional quasiperiod pairing {Fraction(prod, 4)} for ({av},{v})"
                         )
+                    else:
+                        prod = Fraction(prod, 4)
                     acc[(av, v)] = acc.get((av, v), 0) + sgn * prod
     return {k: s for k, s in acc.items() if s}
 

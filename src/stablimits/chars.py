@@ -3,8 +3,12 @@
 Characters are finite integer-multiplicity sums of monomials in named
 variables with half-integer exponents.  Everything here is immutable and
 exact: exponents are stored as doubled integers and coefficients are plain
-ints.  A rational function of characters is a numerator over a general
-character times a multiset of (1 - m) factors, the shape of every
+ints.  A monomial is a name-sorted, zero-free tuple of (variable, doubled
+exponent) pairs: only one built from a mapping sorts, a product merges two
+sorted tuples, powers, inverses, square roots and restrictions keep their
+order, and a pairing with a rational weight is integer arithmetic with one
+Fraction result.  A rational function of characters is a numerator over a
+general character times a multiset of (1 - m) factors, the shape of every
 denominator the limit engine creates.  Sums, quotients and equality take the
 least common multiple of the two multisets, and only then cross-multiply;
 where (1 - m) on the left meets (1 - 1/m) on the right, the right one is
@@ -63,7 +67,11 @@ class Monomial:
     """A product of named variables raised to half-integer powers.
 
     Absent variables carry exponent zero; two monomials are equal iff their
-    exponent maps are equal.
+    exponent maps are equal.  ``_exp2`` holds the (variable, doubled
+    exponent) pairs, sorted by name, none zero.  Only a mapping is sorted;
+    ``*`` merges two sorted tuples, and ``**``, ``inverse``, ``sqrt``,
+    ``restrict`` and ``drop`` keep their input's order.  ``pairing`` is
+    exact integer arithmetic with one Fraction result.
     """
 
     __slots__ = ("_exp2", "_hash")
@@ -80,15 +88,16 @@ class Monomial:
         self._hash = hash(self._exp2)
 
     @classmethod
-    def _raw(cls, items: Iterable[tuple[str, int]]) -> "Monomial":
+    def _sorted(cls, items: Iterable[tuple[str, int]]) -> "Monomial":
+        """From name-sorted (variable, doubled exponent) pairs; drops zeros, does not sort."""
         m = object.__new__(cls)
-        m._exp2 = tuple(sorted((v, e) for v, e in items if e))
+        m._exp2 = tuple(p for p in items if p[1])
         m._hash = hash(m._exp2)
         return m
 
     @classmethod
     def variable(cls, name: str, exponent: Rat = 1) -> "Monomial":
-        return cls({name: exponent})
+        return cls._sorted(((name, _as_doubled(exponent)),))
 
     def exponent(self, var: str) -> Rat:
         """The exponent of var: an int when integral, else a half-integer Fraction."""
@@ -100,6 +109,10 @@ class Monomial:
     def exponents(self) -> dict[str, Fraction]:
         return {v: Fraction(e2, 2) for v, e2 in self._exp2}
 
+    def doubled(self) -> tuple[tuple[str, int], ...]:
+        """The name-sorted (variable, 2 * exponent) pairs with nonzero exponent."""
+        return self._exp2
+
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self._exp2)
 
@@ -108,16 +121,34 @@ class Monomial:
         return not self._exp2
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        acc = dict(self._exp2)
-        for v, e2 in other._exp2:
-            acc[v] = acc.get(v, 0) + e2
-        return Monomial._raw(acc.items())
+        a, b = self._exp2, other._exp2
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (va, ea), (vb, eb) = a[i], b[j]
+            if va == vb:
+                out.append((va, ea + eb))
+                i += 1
+                j += 1
+            elif va < vb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return Monomial._sorted((*out, *a[i:], *b[j:]))
 
     def __pow__(self, n: int) -> "Monomial":
-        return Monomial._raw((v, e2 * n) for v, e2 in self._exp2)
+        if n == 1:
+            return self
+        return Monomial._sorted((v, e2 * n) for v, e2 in self._exp2)
 
     def inverse(self) -> "Monomial":
-        return Monomial._raw((v, -e2) for v, e2 in self._exp2)
+        return Monomial._sorted((v, -e2) for v, e2 in self._exp2)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         return self * other.inverse()
@@ -126,22 +157,27 @@ class Monomial:
         """Halve all exponents; requires every exponent to be integral."""
         if any(e2 % 2 for _, e2 in self._exp2):
             raise ExponentError(f"square root of {self} leaves the half-integer lattice")
-        return Monomial._raw((v, e2 // 2) for v, e2 in self._exp2)
+        return Monomial._sorted((v, e2 // 2) for v, e2 in self._exp2)
 
     def restrict(self, variables: Collection[str]) -> "Monomial":
-        return Monomial._raw((v, e2) for v, e2 in self._exp2 if v in variables)
+        return Monomial._sorted((v, e2) for v, e2 in self._exp2 if v in variables)
 
     def drop(self, variables: Collection[str]) -> "Monomial":
-        return Monomial._raw((v, e2) for v, e2 in self._exp2 if v not in variables)
+        return Monomial._sorted((v, e2) for v, e2 in self._exp2 if v not in variables)
 
     def pairing(self, weight: Mapping[str, Rat]) -> Fraction:
-        """Sum of exponent(v) * weight[v] over the weight's variables."""
-        total = Fraction(0)
+        """Sum of exponent(v) * weight[v] over the weight's variables, as
+        num / (2 den) with den a multiple of every weight denominator seen."""
+        num, den = 0, 1
         for v, e2 in self._exp2:
             w = weight.get(v)
             if w is not None:
-                total += Fraction(e2, 2) * Fraction(w)
-        return total
+                d = w.denominator
+                if den % d:
+                    num *= d
+                    den *= d
+                num += e2 * w.numerator * (den // d)
+        return Fraction(num, 2 * den)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self._exp2 == other._exp2
@@ -173,7 +209,7 @@ class Monomial:
 
     @classmethod
     def from_json(cls, data: Mapping[str, str | int | float]) -> "Monomial":
-        return cls({v: rat_from_str(e) for v, e in data.items()})
+        return cls({v: e if isinstance(e, int) else rat_from_str(e) for v, e in data.items()})
 
 
 ONE = Monomial()
@@ -267,7 +303,7 @@ class Character:
         for m, c in self._terms.items():
             for v, e2 in m._exp2:
                 acc[v] = acc.get(v, 0) + e2 * c
-        return Monomial._raw(acc.items())
+        return Monomial._sorted(sorted(acc.items()))
 
     def chamber_split(self, direction: Mapping[str, Rat]) -> tuple["Character", "Character", "Character"]:
         """Partition terms by the sign of the pairing with a chamber direction.
@@ -692,17 +728,20 @@ class RationalExpr:
         return hash(("RationalExpr", self.num.is_zero))
 
     def degree_span(self, variables: Collection[str]) -> tuple[Fraction, Fraction] | None:
-        """[min, max] exponent span in the given variables, num minus den endpoint-wise."""
+        """[min, max] exponent span in the given variables, num minus den endpoint-wise.
+        Laurent polynomials have no zero divisors, so den's span is read unexpanded:
+        that of rest plus k times that of each (1 - m)^k."""
         if self.is_zero:
             return None
 
-        def span(ch: Character) -> tuple[Fraction, Fraction]:
-            degs = [sum((m.exponent(v) for v in variables), Fraction(0)) for m, _ in ch.items()]
-            return min(degs), max(degs)
+        def degree(m: Monomial) -> int:  # doubled
+            return sum(e2 for v, e2 in m._exp2 if v in variables)
 
-        lo_n, hi_n = span(self.num)
-        lo_d, hi_d = span(self.den)
-        return lo_n - lo_d, hi_n - hi_d
+        num = [degree(m) for m in self.num._terms]
+        rest = [degree(m) for m in self.rest._terms]
+        lo = min(rest) + sum(k * min(degree(m), 0) for m, k in self.factors.items())
+        hi = max(rest) + sum(k * max(degree(m), 0) for m, k in self.factors.items())
+        return Fraction(min(num) - lo, 2), Fraction(max(num) - hi, 2)
 
     def __repr__(self) -> str:
         return f"RationalExpr(({self.num.to_text()}) / ({self.den.to_text()}))"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -64,7 +65,8 @@ EXIT_MALFORMED = 2
 
 class _Output:
     """JSON-lines sink; a file is created only when its first line is written,
-    so a command that rejects its input leaves no file behind."""
+    and ``discard`` removes it again, so a command that rejects its input
+    (exit 2) leaves no file behind."""
 
     def __init__(self, path: str | None):
         self._path = path
@@ -91,6 +93,12 @@ class _Output:
         if self._fh is None:
             self._fh = open(self._path, "w")
         self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
+
+    def discard(self):
+        """Close and remove a partly written file; stdout is left as it is."""
+        if self._path and self._fh is not None:
+            self._fh.close()
+            os.remove(self._path)
 
     def finish(self, command: str) -> int:
         code = EXIT_OK if self.failed == 0 else EXIT_FAILED
@@ -126,10 +134,9 @@ def _convention(args) -> ConventionSet:
     return ConventionSet(args.content, args.attract)
 
 
-def _cmd_theta_verify(args) -> int:
+def _cmd_theta_verify(args, out: _Output) -> int:
     if args.w_denoms < 1:
         raise MalformedInput("--w-denoms must be positive")
-    out = _Output(args.output)
     order = _parse_rational(args.order)
     if order <= 0:
         raise MalformedInput("--order must be positive")
@@ -234,10 +241,9 @@ def _rate_consistent(expr, weight, norm, value, ctx) -> bool:
     return errs[2] < errs[0] * 0.75 or errs[2] < 1e-6
 
 
-def _cmd_young_report(args) -> int:
+def _cmd_young_report(args, out: _Output) -> int:
     if args.b is not None and args.b < 1:
         raise MalformedInput("--b must be positive")
-    out = _Output(args.output)
     conv = _convention(args)
     ws = _parse_rational_list(args.w) if args.w else []
     for n in range(0, args.n_max + 1):
@@ -252,8 +258,7 @@ def _cmd_young_report(args) -> int:
     return out.finish("young-report")
 
 
-def _cmd_diflem_scan(args) -> int:
-    out = _Output(args.output)
+def _cmd_diflem_scan(args, out: _Output) -> int:
     conv = _convention(args)
     b_values = tuple(range(2, args.b_max + 1))
     violations = difference_scan(
@@ -297,11 +302,10 @@ def _cmd_diflem_scan(args) -> int:
     return out.finish("diflem-scan")
 
 
-def _cmd_component_enum(args) -> int:
+def _cmd_component_enum(args, out: _Output) -> int:
     if args.n < 0 or args.b < 1:
         raise MalformedInput("--n must be nonnegative and --b positive")
     w = _parse_rational(args.w) if args.w is not None else None
-    out = _Output(args.output)
     conv = _convention(args)
     components = enumerate_components(args.n, args.b, conv)
     for key in sorted(components):
@@ -324,8 +328,7 @@ def _cmd_component_enum(args) -> int:
     return out.finish("component-enum")
 
 
-def _cmd_calibrate(args) -> int:
-    out = _Output(args.output)
+def _cmd_calibrate(args, out: _Output) -> int:
     b_values = tuple(range(2, args.b_max + 1))
     result = calibrate(args.n_max, b_values)
     for conv in result.passing:
@@ -352,8 +355,7 @@ def _cmd_calibrate(args) -> int:
     return out.finish("calibrate")
 
 
-def _cmd_limit_apply(args) -> int:
-    out = _Output(args.output)
+def _cmd_limit_apply(args, out: _Output) -> int:
     if not args.input:
         raise MalformedInput("--input is required for limit-apply")
     w = _parse_rational(args.w) if args.w else Fraction(0)
@@ -378,8 +380,7 @@ def _cmd_limit_apply(args) -> int:
     return out.finish("limit-apply")
 
 
-def _cmd_framing_blocks(args) -> int:
-    out = _Output(args.output)
+def _cmd_framing_blocks(args, out: _Output) -> int:
     if not args.w:
         raise MalformedInput("--w is required for framing-blocks")
     point = FramingPoint(tuple(_parse_rational_list(args.w)))
@@ -480,9 +481,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = _Output(args.output)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, out)
     except MalformedInput as exc:
+        out.discard()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -174,7 +174,7 @@ class MatrixMetadata:
             }
             # A tangent weight is a nontrivial character with integer exponents.
             bad = [m for P in polarizations.values() for m, _ in P.items()
-                   if m.is_trivial or any(e.denominator != 1 for e in m.exponents().values())]
+                   if m.is_trivial or any(e2 % 2 for _, e2 in m.doubled())]
             if bad:
                 raise MalformedInput(f"polarization weight {bad[0].to_text() or '1'} is trivial or fractional")
         slopes = None

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -46,7 +47,8 @@ class ThetaArgument:
     qshift: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "qshift", Fraction(self.qshift))
+        if not isinstance(self.qshift, Fraction):
+            object.__setattr__(self, "qshift", Fraction(self.qshift))
 
     def shifted(self, weight: Mapping[str, Rat]) -> "ThetaArgument":
         """Shift equivariant parameters a -> a q^w: the q-shift grows by <exp, w>."""
@@ -246,32 +248,25 @@ def theta_leading(arg: ThetaArgument) -> ThetaLeading:
     triple-product sum in ``theta_series``, n = -floor(s), plus n = 1 - s when
     s is integral, which gives the binomial."""
     m, s = arg.monomial, arg.qshift
-    if m.is_trivial and s.denominator == 1:
+    n, d = s.numerator, s.denominator
+    if m.is_trivial and d == 1:
         raise LimitUndefined(f"theta(q^{rat_to_str(s)}) vanishes identically")
-    k = s.numerator // s.denominator  # floor
-    r = s - k
+    k = n // d  # floor
     try:
         root = m.sqrt()
     except ExponentError as exc:
         raise LimitUndefined(
             f"theta argument {m.to_text() or '1'} has no half-integer square root"
         ) from exc
-    if r == 0:
+    sign = -1 if k % 2 == 0 else 1
+    monomial = root ** (-2 * k - 1)  # m^(-k-1/2)
+    if d == 1:
         # theta(m q^s) = (-1)^(s+1) m^(-s-1/2) (1 - m) q^(-s^2/2) (1 + ...)
-        return ThetaLeading(
-            valuation=Fraction(-s * s, 2),
-            sign=-1 if s % 2 == 0 else 1,
-            monomial=(m ** (-k)) * root.inverse(),
-            binomial_of=m,
-        )
-    # s = k + r with 0 < r < 1:
-    # theta(m q^s) = (-1)^(k+1) m^(-k-1/2) q^(-kr - k^2/2 - r/2) (1 + ...)
-    return ThetaLeading(
-        valuation=-k * r - Fraction(k * k, 2) - r / 2,
-        sign=-1 if k % 2 == 0 else 1,
-        monomial=(m ** (-k)) * root.inverse(),
-        binomial_of=None,
-    )
+        return ThetaLeading(Fraction(-n * n, 2), sign, monomial, m)
+    # s = k + r/d with 0 < r < d:
+    # theta(m q^s) = (-1)^(k+1) m^(-k-1/2) q^(-k(r/d) - k^2/2 - (r/d)/2) (1 + ...)
+    r = n - k * d
+    return ThetaLeading(Fraction(-2 * k * r - k * k * d - r, 2 * d), sign, monomial, None)
 
 
 @dataclass(frozen=True)
@@ -299,20 +294,18 @@ def theta_ratio_leading(
     monomial = ONE
     num = Character.one()
     factors: dict[Monomial, int] = {}
-    for arg in numerator:
-        lead = theta_leading(arg)
-        valuation += lead.valuation
-        sign *= lead.sign
-        monomial = monomial * lead.monomial
-        if lead.binomial_of is not None:
-            num = num * Character({ONE: 1, lead.binomial_of: -1})
-    for arg in denominator:
-        lead = theta_leading(arg)
-        valuation -= lead.valuation
-        sign *= lead.sign  # sign is +-1, division == multiplication
-        monomial = monomial / lead.monomial
-        if lead.binomial_of is not None:
-            factors[lead.binomial_of] = factors.get(lead.binomial_of, 0) + 1
+    for args, side in ((numerator, 1), (denominator, -1)):
+        # Equal arguments share one leading term, raised to their count k.
+        for arg, k in Counter(args).items():
+            lead = theta_leading(arg)
+            valuation += side * k * lead.valuation
+            sign *= lead.sign ** k
+            monomial = monomial * lead.monomial ** (side * k)
+            b = lead.binomial_of
+            if b is not None and side > 0:  # (1 - b)^k by the binomial theorem
+                num = num * Character({b ** j: (-1) ** j * math.comb(k, j) for j in range(k + 1)})
+            elif b is not None:
+                factors[b] = factors.get(b, 0) + k
     return valuation, LimitResult(monomial, RationalExpr.factored(num * sign, factors))
 
 

@@ -76,6 +76,46 @@ def test_monomial_pairing_only_sees_named_variables():
     assert m.pairing({"a": Fraction(1, 2)}) == 1
 
 
+# A monomial against a plain dict-of-Fraction model rebuilt through Monomial(dict).
+
+_VARS = ("a", "b", "hbar", "z")
+exponent_maps = st.dictionaries(st.sampled_from(_VARS), exponents, max_size=4)
+weights = st.dictionaries(
+    st.sampled_from(_VARS),
+    st.integers(-5, 5) | st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12)),
+    max_size=4,
+)
+
+
+def _assert_canonical(got: Monomial, model: dict):
+    expected = Monomial(model)
+    assert got == expected and hash(got) == hash(expected)
+    names = [v for v, _ in got.doubled()]
+    assert all(v < w for v, w in zip(names, names[1:]))
+    assert all(type(e2) is int and e2 for _, e2 in got.doubled())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(exponent_maps, exponent_maps, st.integers(-3, 3), st.sets(st.sampled_from(_VARS)), weights)
+def test_monomial_operations_keep_the_canonical_form(x, y, n, names, weight):
+    mx, my = Monomial(x), Monomial(y)
+    _assert_canonical(mx, x)
+    _assert_canonical(mx * my, {v: x.get(v, 0) + y.get(v, 0) for v in x | y})
+    _assert_canonical(mx / my, {v: x.get(v, 0) - y.get(v, 0) for v in x | y})
+    _assert_canonical(mx ** n, {v: e * n for v, e in x.items()})
+    _assert_canonical(mx.inverse(), {v: -e for v, e in x.items()})
+    _assert_canonical(mx.restrict(names), {v: e for v, e in x.items() if v in names})
+    _assert_canonical(mx.drop(names), {v: e for v, e in x.items() if v not in names})
+    if all(e.denominator == 1 for e in x.values()):
+        _assert_canonical(mx.sqrt(), {v: e / 2 for v, e in x.items()})
+    else:
+        with pytest.raises(ExponentError):
+            mx.sqrt()
+    paired = mx.pairing(weight)
+    assert type(paired) is Fraction
+    assert paired == sum((e * weight[v] for v, e in x.items() if v in weight), Fraction(0))
+
+
 # --- characters --------------------------------------------------------------
 
 

@@ -1,8 +1,10 @@
 import contextlib
+import gc
 import io
 import json
 import pathlib
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +202,26 @@ def test_limit_apply_two_residue_components_is_malformed(tmp_path, capsys):
     assert code == 2
     assert "residue component" in _one_line_error(capsys)
 
+
+def test_late_malformed_input_leaves_no_partial_output_file(tmp_path, capsys):
+    """limit-apply writes three validate records before it finds the two
+    residue components; the exit 2 removes the file and closes its handle."""
+    meta = MatrixMetadata(
+        variables=VariableSet(("a",), "hbar", ("z",)),
+        convention=ConventionSet("i-j", "neg"),
+        order=("5", "2,2,1", "2,1,1,1"),
+    )
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(RestrictionMatrix.identity(("5", "2,2,1", "2,1,1,1"), meta).to_json()))
+    out_path = tmp_path / "out.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["limit-apply", "--input", str(path), "--w=1/2", "--output", str(out_path)])
+        gc.collect()
+    assert code == 2
+    assert "residue component" in _one_line_error(capsys)
+    assert not out_path.exists()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 def test_limit_apply_list_expression_is_malformed(tmp_path, capsys):
     meta = MatrixMetadata(variables=VariableSet(("a",), "hbar", ("z",)))
