@@ -109,13 +109,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=seeds, action="append", required=True,
                         help="WORKLOAD=SEEDS, one pair per seed; SEEDS like 7101-7110 or 1,5,9")
     parser.add_argument("--traced", type=seeds, help="WORKLOAD=SEED of one traced run per side")
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     command = bench["command"]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     parent_commit = git("rev-parse", args.parent).decode().strip()
     head = git("rev-parse", "HEAD").decode().strip()
