@@ -1,15 +1,16 @@
 """Alternating parent/change pairs of the benchmark, written as BENCH_<n>.json.
 
-    python3 benchmarks/pairs.py --parent HEAD --out BENCH_7.json \\
-        --pairs matrix=7101-7110 --pairs sections=7111-7115 --traced matrix=7101
+    python3 benchmarks/pairs.py --parent HEAD --out BENCH_8.json \\
+        --pairs diagrams=8201-8210 --pairs sections=8211-8215 \\
+        --traced diagrams=8201 --traced matrix=8216
 
 The script exports two source trees into a temporary directory with
 ``git archive``: the parent revision, and the working tree (tracked and
 untracked files that ``.gitignore`` does not exclude, read through a
 temporary index, so the repository's own index is left as it is).  For each
 workload and seed it runs the command of ``BENCHMARK.json`` once in each
-tree, alternating which side runs first, and for ``--traced`` one traced run
-per side.  It writes the quartiles of every end-to-end metric per side, the
+tree, alternating which side runs first, and for each ``--traced`` one traced
+run per side.  It writes the quartiles of every end-to-end metric per side, the
 pairs the change wins, the per-layer counts of the traced runs, the commits
 and the Python version, in the schema of ``BENCH_5.json``.
 
@@ -108,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     parser.add_argument("--pairs", type=seeds, action="append", required=True,
                         help="WORKLOAD=SEEDS, one pair per seed; SEEDS like 7101-7110 or 1,5,9")
-    parser.add_argument("--traced", type=seeds, help="WORKLOAD=SEED of one traced run per side")
+    parser.add_argument("--traced", type=seeds, action="append", default=[],
+                        help="WORKLOAD=SEED of one traced run per side; may be repeated")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -157,8 +159,7 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": {name: summarize(spec, values["parent"][name], values["change"][name])
                             for name, spec in metrics.items()},
             }
-        if args.traced:
-            workload, (seed, *_) = args.traced
+        for workload, (seed, *_) in args.traced:
             traced = {side: run(sides[side], command, workload, seed, seconds, 1) for side in sides}
             out[f"traced_{workload}"] = {
                 "command": f"{' '.join(command)} --workload {workload} --seed {seed} --trace 1",

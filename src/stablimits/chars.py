@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,9 +164,9 @@ class Monomial:
     def drop(self, variables: Collection[str]) -> "Monomial":
         return Monomial._sorted((v, e2) for v, e2 in self._exp2 if v not in variables)
 
-    def pairing(self, weight: Mapping[str, Rat]) -> Fraction:
-        """Sum of exponent(v) * weight[v] over the weight's variables, as
-        num / (2 den) with den a multiple of every weight denominator seen."""
+    def pairing_ratio(self, weight: Mapping[str, Rat]) -> tuple[int, int]:
+        """Sum of exponent(v) * weight[v] over the weight's variables, as the
+        unreduced integers (num, 2 den), den a multiple of every weight denominator seen."""
         num, den = 0, 1
         for v, e2 in self._exp2:
             w = weight.get(v)
@@ -177,7 +176,11 @@ class Monomial:
                     num *= d
                     den *= d
                 num += e2 * w.numerator * (den // d)
-        return Fraction(num, 2 * den)
+        return num, 2 * den
+
+    def pairing(self, weight: Mapping[str, Rat]) -> Fraction:
+        """The pairing ratio as one Fraction."""
+        return Fraction(*self.pairing_ratio(weight))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self._exp2 == other._exp2
@@ -319,22 +322,24 @@ class Character:
             (pos if p > 0 else neg if p < 0 else zer)[m] = c
         return Character(pos), Character(zer), Character(neg)
 
+    def _floors(self, weight: Mapping[str, Rat]) -> Iterator[tuple[int, int, int]]:
+        """(mult, floor, ceil) of each term's pairing, from its integer ratio."""
+        for m, c in self._terms.items():
+            n, d = m.pairing_ratio(weight)
+            yield c, n // d, -(-n // d)
+
     def floor_pairing(self, weight: Mapping[str, Rat]) -> int:
-        """Sum of mult * floor(<exponent, weight>), extended linearly."""
-        return sum(c * math.floor(m.pairing(weight)) for m, c in self._terms.items())
+        """Sum of mult * floor(<exponent, weight>), extended linearly, in integers."""
+        return sum(c * f for c, f, _ in self._floors(weight))
 
     def symmetric_floor_pairing(self, weight: Mapping[str, Rat]) -> Fraction:
-        """Sum of mult * (floor + ceil)/2 of the pairings.
+        """Sum of mult * (floor + ceil)/2 of the pairings, in integers halved by one Fraction.
 
         Unlike the plain floor, the symmetrized floor is odd under negation,
         so this extension to virtual characters is canonical: conjugating the
         character flips the sign exactly.
         """
-        total = Fraction(0)
-        for m, c in self._terms.items():
-            p = m.pairing(weight)
-            total += c * Fraction(math.floor(p) + math.ceil(p), 2)
-        return total
+        return Fraction(sum(c * (f + g) for c, f, g in self._floors(weight)), 2)
 
     def invariant_part(self, weight: Mapping[str, Rat]) -> "Character":
         """Terms whose exponents pair integrally with the weight vector."""

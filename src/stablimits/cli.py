@@ -329,6 +329,8 @@ def _cmd_component_enum(args, out: _Output) -> int:
 
 
 def _cmd_calibrate(args, out: _Output) -> int:
+    if args.n_max < 2 or args.b_max < 2:
+        raise MalformedInput("--n-max and --b-max must be at least 2, or no pair is scanned")
     b_values = tuple(range(2, args.b_max + 1))
     result = calibrate(args.n_max, b_values)
     for conv in result.passing:

@@ -128,20 +128,17 @@ def polarization(
     diagram: YoungDiagram, conv: ConventionSet = DEFAULT_CONVENTION, var: str = "a"
 ) -> Character:
     """Sum over ordered content pairs of a^(c_i - c_j + 1) - a^(c_i - c_j),
-    plus sum over boxes of a^(c_i)."""
+    plus sum over boxes of a^(c_i).  Multiplicities are summed on the integer
+    exponents, and one monomial is built per distinct exponent."""
     cs = contents(diagram, conv)
-    acc: dict[Monomial, int] = {}
-
-    def bump(e: int, mult: int):
-        m = Monomial.variable(var, e) if e else Monomial()
-        acc[m] = acc.get(m, 0) + mult
-
+    acc: dict[int, int] = {}
     for ci in cs:
         for cj in cs:
-            bump(ci - cj + 1, 1)
-            bump(ci - cj, -1)
-        bump(ci, 1)
-    return Character(acc)
+            e = ci - cj
+            acc[e + 1] = acc.get(e + 1, 0) + 1
+            acc[e] = acc.get(e, 0) - 1
+        acc[ci] = acc.get(ci, 0) + 1
+    return Character({Monomial.variable(var, e): c for e, c in acc.items()})
 
 
 def sigma(diagram: YoungDiagram, conv: ConventionSet = DEFAULT_CONVENTION) -> int:
@@ -188,17 +185,16 @@ def negative_normal_characters(
 
 
 def m_hilbert(diagram: YoungDiagram, w: Rat, conv: ConventionSet = DEFAULT_CONVENTION) -> Fraction:
-    """w*d - sum over boxes of floor(hook * w)."""
-    w = Fraction(w)
-    return w * d_lambda(diagram, conv) - sum(math.floor(h * w) for h in hooks(diagram))
+    """w*d - sum over boxes of floor(hook * w), in integers over w's denominator."""
+    p, r = w.numerator, w.denominator
+    return Fraction(p * d_lambda(diagram, conv) - r * sum(h * p // r for h in hooks(diagram)), r)
 
 
 def m_general(diagram: YoungDiagram, w: Rat, conv: ConventionSet = DEFAULT_CONVENTION) -> Fraction:
-    """<sigma, w> - sum over repelling tangent characters of floor(<c, w>)."""
-    w = Fraction(w)
-    return w * sigma(diagram, conv) - sum(
-        math.floor(c * w) for c in negative_normal_characters(diagram, conv)
-    )
+    """<sigma, w> - sum over repelling tangent characters of floor(<c, w>), in integers."""
+    p, r = w.numerator, w.denominator
+    floors = sum(c * p // r for c in negative_normal_characters(diagram, conv))
+    return Fraction(p * sigma(diagram, conv) - r * floors, r)
 
 
 def nu_component(
@@ -380,13 +376,16 @@ def difference_scan(
       which holds only while every index is an honest character with small
       pairings (it breaks once virtual index terms pair past the first
       integer; kept for documentation and as a recorded discrepancy).
+
+    The index does not depend on w, so it is built once per diagram of each
+    size and paired with every w.
     """
     if form not in ("exponent", "floor"):
         raise ValueError("form must be 'exponent' or 'floor'")
     violations = []
     for n in range(1, n_max + 1):
         diagrams = partitions(n)
-        cache: dict[tuple, Fraction] = {}
+        index = {d: index_character(d, conv) for d in diagrams}
         for b in b_values:
             groups: dict[tuple[int, ...], list[YoungDiagram]] = {}
             for d in diagrams:
@@ -395,20 +394,16 @@ def difference_scan(
                 if math.gcd(a, b) != 1:
                     continue
                 w = Fraction(a, b)
+                weight = {"a": w}
                 for group in groups.values():
                     if len(group) < 2:
                         continue
-                    data = []
-                    for d in group:
-                        key = (d, w)
-                        if key not in cache:
-                            cache[key] = (
-                                index_exponent(d, w, conv)
-                                if form == "exponent"
-                                else Fraction(floor_index_pairing(d, w, conv))
-                            )
-                        m = m_hilbert(d, w, conv)
-                        data.append((d, cache[key], m if form == "floor" else m / 2))
+                    data = [
+                        (d, index[d].symmetric_floor_pairing(weight), m_hilbert(d, w, conv) / 2)
+                        if form == "exponent"
+                        else (d, Fraction(index[d].floor_pairing(weight)), m_hilbert(d, w, conv))
+                        for d in group
+                    ]
                     for (d1, f1, m1), (d2, f2, m2) in combinations(data, 2):
                         if f1 - f2 != m1 - m2:
                             violations.append((d1, d2, w, f1 - f2, m1 - m2))

@@ -347,3 +347,24 @@ def test_equality_leaves_operands_unchanged():
     after = [state(e) for e in (x, whole)]
     assert all(s0[0] is s1[0] and s0[1] is s1[1] for s0, s1 in zip(before, after))
     assert after == before
+
+
+# Integer floors of the pairings against floors of exact Fraction pairings.
+
+def _fraction_pairings(c: Character, weight: dict):
+    for m, mult in c.items():
+        p = sum((e * Fraction(weight[v]) for v, e in m.exponents().items() if v in weight),
+                Fraction(0))
+        yield mult, p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(characters | st.just(Character.zero()), weights)
+def test_integer_floor_pairings_match_fraction_floors(c, weight):
+    floor = sum(mult * math.floor(p) for mult, p in _fraction_pairings(c, weight))
+    symmetric = sum((mult * Fraction(math.floor(p) + math.ceil(p), 2)
+                     for mult, p in _fraction_pairings(c, weight)), Fraction(0))
+    got = c.floor_pairing(weight)
+    assert got == floor and type(got) is int
+    got = c.symmetric_floor_pairing(weight)
+    assert got == symmetric and type(got) is Fraction

@@ -330,6 +330,8 @@ def test_limit_apply_malformed_matrix_exits_2(tmp_path, capsys, case):
     ["component-enum", "--n", "-2", "--b", "2"],
     ["theta-verify", "--w-denoms", "0", "--balanced-samples", "1"],
     ["young-report", "--b", "-1"],
+    ["calibrate", "--n-max", "0"],
+    ["calibrate", "--n-max", "4", "--b-max", "1"],
 ])
 def test_malformed_arguments_exit_2(capsys, argv):
     assert main(argv) == 2

@@ -1,11 +1,16 @@
+import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablimits.chars import Character, Monomial
+import stablimits.hilbert as hilbert
 from stablimits.hilbert import (
+    ATTRACT_SIGNS,
+    CONTENT_SIGNS,
     ComponentMismatch,
     ConventionSet,
     DEFAULT_CONVENTION,
@@ -24,6 +29,7 @@ from stablimits.hilbert import (
     is_nontrivial_shift,
     m_general,
     m_hilbert,
+    negative_normal_characters,
     nontrivial_shifts,
     nu_component,
     partitions,
@@ -323,3 +329,82 @@ def test_fixed_point_data_json():
     assert rec["diagram"] == "2,1"
     assert sorted(rec["hooks"]) == [1, 1, 3]
     assert sum(rec["component"]) == 3
+
+
+# --- integer arithmetic against its definitions ------------------------------------
+
+ALL_CONVENTIONS = [ConventionSet(c, a) for c in CONTENT_SIGNS for a in ATTRACT_SIGNS]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_polarization_is_its_double_sum(n):
+    for dg in partitions(n):
+        for content in CONTENT_SIGNS:
+            conv = ConventionSet(content, "neg")
+            cs = contents(dg, conv)
+            for var in ("a", "t"):
+                terms = []
+                for ci in cs:
+                    for cj in cs:
+                        terms.append((Monomial.variable(var, ci - cj + 1), 1))
+                        terms.append((Monomial.variable(var, ci - cj), -1))
+                    terms.append((Monomial.variable(var, ci), 1))
+                assert polarization(dg, conv, var) == Character.from_terms(terms), (dg, var)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_integer_m_exponents_match_fraction_floors(n):
+    shifts = [Fraction(p, r) for r in range(1, 6) for p in range(-3 * r, 3 * r + 1)]
+    for dg in partitions(n):
+        for conv in ALL_CONVENTIONS:
+            for w in shifts:
+                expected = w * d_lambda(dg, conv) - sum(math.floor(h * w) for h in hooks(dg))
+                assert m_hilbert(dg, w, conv) == expected, (dg, w)
+                expected = w * sigma(dg, conv) - sum(
+                    math.floor(c * w) for c in negative_normal_characters(dg, conv))
+                assert m_general(dg, w, conv) == expected, (dg, w)
+
+
+def _direct_violations(conv, form, n_max, b_values):
+    """The difference scan's violations, recomputed pair by pair from the
+    per-diagram functions."""
+    out = []
+    for n in range(1, n_max + 1):
+        for b in b_values:
+            groups = enumerate_components(n, b, conv).values()
+            for a in range(1, 4 * b):
+                if math.gcd(a, b) != 1:
+                    continue
+                w = Fraction(a, b)
+                for group in groups:
+                    for d1, d2 in combinations(group, 2):
+                        m = m_hilbert(d1, w, conv) - m_hilbert(d2, w, conv)
+                        if form == "exponent":
+                            lhs = index_exponent(d1, w, conv) - index_exponent(d2, w, conv)
+                            m /= 2
+                        else:
+                            lhs = floor_index_pairing(d1, w, conv) - floor_index_pairing(d2, w, conv)
+                        if lhs != m:
+                            out.append((d1, d2, w, lhs, m))
+    return out
+
+
+@pytest.mark.parametrize("form", ["exponent", "floor"])
+@pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=str)
+def test_scan_finds_the_directly_computed_violations(conv, form):
+    got = difference_scan(conv, 5, (2, 3, 4), form=form, stop_early=False)
+    assert got == _direct_violations(conv, form, 5, (2, 3, 4))
+
+
+@pytest.mark.parametrize("form", ["exponent", "floor"])
+def test_scan_builds_each_index_once(monkeypatch, form):
+    built = Counter()
+    original = hilbert.index_character
+
+    def counting(diagram, *args, **kwargs):
+        built[diagram] += 1
+        return original(diagram, *args, **kwargs)
+
+    monkeypatch.setattr(hilbert, "index_character", counting)
+    difference_scan(IJ_POS, 5, (2, 3, 4), form=form, stop_early=False)
+    assert built and max(built.values()) == 1
