@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,11 @@ def rat_from_str(s: str | int | float) -> Fraction:
             raise ExponentError(f"non-integral float {s!r} in rational position")
         return Fraction(int(s))
     return Fraction(s)
+
+
+def one_minus_power(m: "Monomial", k: int) -> "Character":
+    """(1 - m)^k for k >= 0, by the binomial theorem."""
+    return Character({m ** j: (-1) ** j * math.comb(k, j) for j in range(k + 1)})
 
 
 class Monomial:
@@ -348,7 +354,8 @@ class Character:
         )
 
     def s_hat(self) -> "RationalExpr":
-        """Product over terms of (m^(1/2) - m^(-1/2))**mult.
+        """Product over terms of (m^(1/2) - m^(-1/2))**mult, each numerator
+        power expanded by the binomial theorem.
 
         A denominator factor is kept as -m^(-1/2) (1 - m).
         """
@@ -363,17 +370,16 @@ class Character:
                     return RationalExpr(Character.zero(), Character.one())
                 continue
             root = m.sqrt()
-            if c > 0:
-                binom = Character({root: 1, root.inverse(): -1})
-                for _ in range(c):
-                    num = num * binom
+            if c > 0:  # (m^(1/2) - m^(-1/2))^c == m^(c/2) (1 - 1/m)^c
+                num = num * one_minus_power(m.inverse(), c).times_monomial(root ** c)
             else:
                 rest = rest.times_monomial(root.inverse() ** -c) * (-1) ** -c
                 factors[m] = -c
         return RationalExpr.factored(num, factors, rest)
 
     def exterior_euler(self) -> "RationalExpr":
-        """Product over terms of (1 - m)**mult."""
+        """Product over terms of (1 - m)**mult, each numerator power expanded
+        by the binomial theorem."""
         num = Character.one()
         factors: dict[Monomial, int] = {}
         for m, c in self._terms.items():
@@ -384,7 +390,7 @@ class Character:
                     return RationalExpr(Character.zero(), Character.one())
                 continue
             if c > 0:
-                num = _expand(num, {m: c})
+                num = num * one_minus_power(m, c)
             else:
                 factors[m] = -c
         return RationalExpr.factored(num, factors)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .chars import Character, Monomial, Rat
 
@@ -186,15 +186,18 @@ def negative_normal_characters(
 
 def m_hilbert(diagram: YoungDiagram, w: Rat, conv: ConventionSet = DEFAULT_CONVENTION) -> Fraction:
     """w*d - sum over boxes of floor(hook * w), in integers over w's denominator."""
-    p, r = w.numerator, w.denominator
-    return Fraction(p * d_lambda(diagram, conv) - r * sum(h * p // r for h in hooks(diagram)), r)
+    return _m_exponent(d_lambda(diagram, conv), hooks(diagram), w)
 
 
 def m_general(diagram: YoungDiagram, w: Rat, conv: ConventionSet = DEFAULT_CONVENTION) -> Fraction:
     """<sigma, w> - sum over repelling tangent characters of floor(<c, w>), in integers."""
+    return _m_exponent(sigma(diagram, conv), negative_normal_characters(diagram, conv), w)
+
+
+def _m_exponent(degree: int, exponents: Iterable[int], w: Rat) -> Fraction:
+    """w*degree - sum of floor(e * w) over exponents, in integers over w's denominator."""
     p, r = w.numerator, w.denominator
-    floors = sum(c * p // r for c in negative_normal_characters(diagram, conv))
-    return Fraction(p * sigma(diagram, conv) - r * floors, r)
+    return Fraction(p * degree - r * sum(e * p // r for e in exponents), r)
 
 
 def nu_component(
@@ -377,8 +380,8 @@ def difference_scan(
       pairings (it breaks once virtual index terms pair past the first
       integer; kept for documentation and as a recorded discrepancy).
 
-    The index does not depend on w, so it is built once per diagram of each
-    size and paired with every w.
+    The index, d and the hooks do not depend on w, so they are built once
+    per diagram of each size and used with every w.
     """
     if form not in ("exponent", "floor"):
         raise ValueError("form must be 'exponent' or 'floor'")
@@ -386,6 +389,7 @@ def difference_scan(
     for n in range(1, n_max + 1):
         diagrams = partitions(n)
         index = {d: index_character(d, conv) for d in diagrams}
+        degree_hooks = {d: (d_lambda(d, conv), hooks(d)) for d in diagrams}
         for b in b_values:
             groups: dict[tuple[int, ...], list[YoungDiagram]] = {}
             for d in diagrams:
@@ -398,10 +402,11 @@ def difference_scan(
                 for group in groups.values():
                     if len(group) < 2:
                         continue
+                    m = {d: _m_exponent(*degree_hooks[d], w) for d in group}
                     data = [
-                        (d, index[d].symmetric_floor_pairing(weight), m_hilbert(d, w, conv) / 2)
+                        (d, index[d].symmetric_floor_pairing(weight), m[d] / 2)
                         if form == "exponent"
-                        else (d, Fraction(index[d].floor_pairing(weight)), m_hilbert(d, w, conv))
+                        else (d, Fraction(index[d].floor_pairing(weight)), m[d])
                         for d in group
                     ]
                     for (d1, f1, m1), (d2, f2, m2) in combinations(data, 2):

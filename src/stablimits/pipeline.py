@@ -44,7 +44,7 @@ from .hilbert import (
     conjugation_matrices,
     d_lambda,
 )
-from .qseries import LimitUndefined, ThetaArgument, theta_ratio_limit
+from .qseries import LimitUndefined, ThetaArgument, leading_survives, theta_leading, theta_ratio_limit
 
 
 class MalformedInput(ValueError):
@@ -504,16 +504,41 @@ def expected_diagonal(
 
         Euler(conj(P^inv)) * lim_q [Theta(N^-)/Theta(P)]|shift * det(P_0)^(1/2)
 
-    built entirely from the polarization restriction, the chamber, and w.
+    built entirely from the polarization restriction, the chamber, and w, in
+    closed form.  Write V = N^- - P, a virtual character, and V^inv for its
+    terms that pair integrally with w.  Each weight m of V, with multiplicity
+    c, contributes theta(m q^<m,w>)^c, whose leading term (``theta_leading``)
+    is (sign_m * M_m * q^(v_m))^c, times (1 - m)^c when m is in V^inv.  A
+    negative total valuation sum c v_m is a pole (LimitUndefined), a
+    positive one gives zero, and at valuation zero
+
+        lim_q [Theta(N^-)/Theta(P)] = prod sign_m^c * prod M_m^c * Euler(V^inv).
+
+    By (1 - 1/m)^c == (-1)^c m^(-c) (1 - m)^c,
+    Euler(conj(P^inv)) == (-1)^rank(P^inv) det(P^inv)^(-1) Euler(P^inv), and
+    Euler(V^inv) Euler(P^inv) == Euler(N^-_inv), so
+
+        diagonal = (-1)^rank(P^inv) prod sign_m^c * prod M_m^c
+                   * det(P^inv)^(-1) det(P_0)^(1/2) * Euler(N^-_inv).
+
+    The repelling part P_neg sits in both N^- and P and drops out of V.
+    Signs are taken by parity: c may be negative.
     """
     weight = _weight(weight, tuple(direction))
     N_minus = normal_negative(P, direction, hbar)
-    core = euler_ratio_limit(P, N_minus, weight)
+    valuation, odd, monomial = Fraction(0), 0, ONE
+    for m, c in (N_minus - P).items():
+        lead = theta_leading(ThetaArgument(m, m.pairing(weight)))
+        valuation += c * lead.valuation
+        odd += c if lead.sign < 0 else 0
+        monomial = monomial * lead.monomial ** c
+    if not leading_survives(valuation):
+        return RationalExpr.zero()
     invariant = P.invariant_part(weight)
-    euler = invariant.conjugate().exterior_euler()
     _, zero_part, _ = P.chamber_split(direction)
-    det_half = zero_part.determinant().sqrt()
-    return (core * euler).times_monomial(det_half)
+    monomial = monomial * invariant.determinant().inverse() * zero_part.determinant().sqrt()
+    sign = -1 if (odd + invariant.rank()) % 2 else 1
+    return (N_minus.invariant_part(weight).exterior_euler() * sign).times_monomial(monomial)
 
 
 def check_stab_axioms(

@@ -26,6 +26,7 @@ from .chars import (
     ONE,
     Rat,
     RationalExpr,
+    one_minus_power,
     rat_from_str,
     rat_to_str,
 )
@@ -303,7 +304,7 @@ def theta_ratio_leading(
             monomial = monomial * lead.monomial ** (side * k)
             b = lead.binomial_of
             if b is not None and side > 0:  # (1 - b)^k by the binomial theorem
-                num = num * Character({b ** j: (-1) ** j * math.comb(k, j) for j in range(k + 1)})
+                num = num * one_minus_power(b, k)
             elif b is not None:
                 factors[b] = factors.get(b, 0) + k
     return valuation, LimitResult(monomial, RationalExpr.factored(num * sign, factors))
@@ -318,13 +319,17 @@ def theta_ratio_limit(
     factor is identically zero.  A positive total valuation gives limit 0.
     """
     valuation, result = theta_ratio_leading(numerator, denominator)
+    return result if leading_survives(valuation) else LimitResult(ONE, RationalExpr.zero())
+
+
+def leading_survives(valuation: Fraction) -> bool:
+    """Whether a leading term of this q-valuation survives q -> 0: a negative
+    valuation is a pole and raises LimitUndefined, a positive one vanishes."""
     if valuation < 0:
         raise LimitUndefined(
             f"theta ratio has a q-pole of order {rat_to_str(-valuation)}"
         )
-    if valuation > 0:
-        return LimitResult(ONE, RationalExpr.zero())
-    return result
+    return valuation == 0
 
 
 def numeric_theta(x: complex, q: complex, tolerance: float = 1e-12) -> complex:

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from stablimits.pipeline import (
     normal_negative,
     validate_section,
 )
+from stablimits.qseries import LimitUndefined
 
 VARS = VariableSet(("a",), "hbar", ("z",))
 CONV = ConventionSet("i-j", "neg")
@@ -123,6 +126,60 @@ def test_expected_diagonal_forward_form():
     core = euler_ratio_limit(P, normal_negative(P, direction), half)
     euler = P.invariant_part({"a": half}).conjugate().exterior_euler()
     assert out == core * euler
+
+
+def theta_ratio_diagonal(P, w, direction):
+    """The theta-ratio route to the forward diagonal, the oracle of the closed form:
+    lim_q [Theta(N^-)/Theta(P)] * Euler(conj P_inv) * det(P_0)^(1/2)."""
+    weight = w if isinstance(w, dict) else {"a": Fraction(w)}
+    core = euler_ratio_limit(P, normal_negative(P, direction), weight)
+    euler = P.invariant_part(weight).conjugate().exterior_euler()
+    _, zero_part, _ = P.chamber_split(direction)
+    return (core * euler).times_monomial(zero_part.determinant().sqrt())
+
+
+def assert_same_diagonal(got, want, context):
+    assert got == want, context
+    for variables in (("a",), ("hbar",)):
+        assert got.degree_span(variables) == want.degree_span(variables), context
+
+
+def test_expected_diagonal_closed_form_matches_theta_ratio_route():
+    """Every diagram with n <= 5, all four conventions, w = p/r with r <= 4."""
+    ws = sorted({Fraction(p, r) for r in range(1, 5) for p in range(-r, 2 * r + 1)})
+    for content in ("i-j", "j-i"):
+        for attract in ("pos", "neg"):
+            conv = ConventionSet(content, attract)
+            direction = conv.chamber_direction()
+            for n in range(6):
+                for dg in partitions(n):
+                    P = polarization(dg, conv)
+                    for w in ws:
+                        want = theta_ratio_diagonal(P, w, direction)
+                        assert_same_diagonal(expected_diagonal(P, w, direction), want, (dg, conv, w))
+
+
+@pytest.mark.parametrize("text,weight,outcome", [
+    ("1*a + 1*a^2 + -1*a^-1", {"a": half, "hbar": -half}, "pole"),
+    ("1*a + 1*a^2 + -1*a^-1", {"a": half, "hbar": half}, "zero"),
+    ("1*a + 1*a^2 + -1*a^-1", {"a": Fraction(1, 3), "hbar": Fraction(1)}, "value"),
+    ("1*a + -1*a^2", {"a": half, "hbar": half}, "value"),
+])
+def test_expected_diagonal_closed_form_keeps_the_valuation_rules(text, weight, outcome):
+    """Virtual characters with hbar shifted: a q-pole raises the theta-ratio
+    route's LimitUndefined, a positive valuation gives zero."""
+    P, direction = ch(text), {"a": Fraction(1)}
+    if outcome == "pole":
+        with pytest.raises(LimitUndefined) as want:
+            theta_ratio_diagonal(P, weight, direction)
+        with pytest.raises(LimitUndefined) as got:
+            expected_diagonal(P, weight, direction)
+        assert str(got.value) == str(want.value)
+        return
+    got, want = expected_diagonal(P, weight, direction), theta_ratio_diagonal(P, weight, direction)
+    assert got.is_zero == want.is_zero == (outcome == "zero")
+    if outcome == "value":
+        assert_same_diagonal(got, want, text)
 
 
 # --- restriction matrices -----------------------------------------------------------
@@ -379,3 +436,26 @@ def test_degree_window_with_slopes():
     report = check_stab_axioms(out.matrix, meta, Fraction(1))
     window = [r for r in report.records if r.name == "degree-window"]
     assert window and all(r.passed is not None for r in window)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+
+
+def test_limit_apply_reports_one_wrong_supplied_diagonal(tmp_path):
+    """A wrong supplied diagonal fails its one diagonal-normalization check
+    (exit 1), and the expected text reads back as expected_diagonal."""
+    data = json.loads((GOLDEN / "restriction_matrix.json").read_text())
+    data["metadata"]["unnormalized_diagonal"]["2,2"] = RationalExpr.one().to_json()
+    path, out_path = tmp_path / "matrix.json", tmp_path / "out.jsonl"
+    path.write_text(json.dumps(data))
+    code = main(["limit-apply", "--input", str(path), "--w", "1", "--output", str(out_path)])
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    diagonal = {r["subject"]: r for r in records if r.get("check") == "diagonal-normalization"}
+    fails = [r for r in diagonal.values() if r["status"] == "fail"]
+    assert code == 1
+    assert [r["subject"] for r in fails] == ["2,2"] and len(diagonal) == 4
+    expected_text = fails[0]["detail"].split(", expected ")[1]
+    num, den = re.fullmatch(r"RationalExpr\(\((.*)\) / \((.*)\)\)", expected_text).groups()
+    meta = RestrictionMatrix.from_json(data).metadata
+    want = expected_diagonal(meta.polarizations["2,2"], 1, meta.convention.chamber_direction())
+    assert RationalExpr(Character.from_text(num), Character.from_text(den)) == want
