@@ -8,8 +8,8 @@ in its own process, which imports only that side's ``src`` and builds the
 same fixed seeded corpus per layer; ``timeit``'s ``autorange`` picks how
 many passes over a layer's corpus make one repetition.  The two processes
 then take turns, one repetition at a time, alternating which side goes
-first, so drift on the host falls on both sides alike; ``--repeat``
-repetitions (at least 5) per side give the quartiles of the time per call.
+first, so drift on the host falls on both sides alike; ``REPEAT``
+repetitions per side give the quartiles of the time per call.
 The layers are those of the north star in ROADMAP.md:
 
     chars.monomial_mul, chars.character_mul, qseries.theta_leading,
@@ -17,7 +17,8 @@ The layers are those of the north star in ROADMAP.md:
     balanced.z_limit, balanced.double_limit, pipeline.expected_diagonal
 
 The result goes under the key ``layers`` of ``--out``; the rest of the file,
-such as the pairs ``pairs.py`` wrote, is kept.  Like ``pairs.py``, it times
+such as the pairs ``pairs.py`` wrote, is kept, and its ``parent_commit`` must
+be the one ``--parent`` names.  Like ``pairs.py``, it times
 only its own processes, one at a time.
 """
 
@@ -38,12 +39,15 @@ from fractions import Fraction
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import pairs  # noqa: E402
 
+SEED = 9  # of the corpus
+REPEAT = 9  # timeit repetitions per layer and side
 
-def corpus(sl, seed: int) -> dict:
+
+def corpus(sl) -> dict:
     """Layer name -> (list of argument tuples, the function called on each)."""
     from stablimits.pipeline import euler_arguments
 
-    rng = random.Random(f"layers/{seed}")
+    rng = random.Random(f"layers/{SEED}")
     names = ("a", "hbar", "z")
 
     def monomial():
@@ -101,7 +105,7 @@ def corpus(sl, seed: int) -> dict:
     }
 
 
-def serve(src: str, seed: int) -> None:
+def serve(src: str) -> None:
     """Measure layers of this side on request: for each layer name read from
     stdin, one repetition, written to stdout as microseconds per call."""
     sys.path.insert(0, os.path.join(src, "src"))
@@ -110,7 +114,7 @@ def serve(src: str, seed: int) -> None:
     if not os.path.abspath(sl.__file__).startswith(os.path.join(src, "src") + os.sep):
         raise SystemExit(f"stablimits was imported from {sl.__file__}, not from {src}")
     timers = {}
-    for name, (cases, fn) in corpus(sl, seed).items():
+    for name, (cases, fn) in corpus(sl).items():
         def one_pass(cases=cases, fn=fn):
             for args in cases:
                 fn(*args)
@@ -128,19 +132,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="parent revision, e.g. HEAD")
     parser.add_argument("--out", help="the BENCH_<n>.json to write into")
-    parser.add_argument("--seed", type=int, default=9, help="corpus seed (default 9)")
-    parser.add_argument("--repeat", type=int, default=7, help="timeit repetitions, at least 5")
     parser.add_argument("--measure", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeat < 5:
-        parser.error("--repeat must be at least 5")
     if args.measure:
-        serve(args.measure, args.seed)
+        serve(args.measure)
         return 0
     if not (args.parent and args.out):
         parser.error("--parent and --out are required")
 
     parent_commit = pairs.git("rev-parse", args.parent).decode().strip()
+    record = {"parent_commit": parent_commit}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            record = json.load(fh)
+        if record.get("parent_commit", parent_commit) != parent_commit:
+            raise SystemExit(f"{args.out} is about parent {record['parent_commit']}, "
+                             f"not {parent_commit}")
     times: dict[str, dict[str, list[float]]] = {}
     with tempfile.TemporaryDirectory(prefix="layers-") as tmp:
         trees = {"parent": parent_commit, "change": pairs.working_tree(tmp)}
@@ -148,8 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         for side, tree in trees.items():
             pairs.export(tree, os.path.join(tmp, side))
             workers[side] = subprocess.Popen(
-                [sys.executable, os.path.abspath(__file__), "--measure", os.path.join(tmp, side),
-                 "--seed", str(args.seed)],
+                [sys.executable, os.path.abspath(__file__), "--measure", os.path.join(tmp, side)],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         try:
             names = [json.loads(w.stdout.readline()) for w in workers.values()]
@@ -157,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise SystemExit(f"the two sides measure different layers: {names}")
             for name in names[0]:
                 times[name] = {side: [] for side in workers}
-                for i in range(args.repeat):
+                for i in range(REPEAT):
                     for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                         workers[side].stdin.write(name + "\n")
                         workers[side].stdin.flush()
@@ -179,16 +185,10 @@ def main(argv: list[str] | None = None) -> int:
         layers[name] = {side: quartiles(values) for side, values in per_side.items()}
         layers[name]["change_over_parent"] = round(
             layers[name]["change"]["median_us"] / layers[name]["parent"]["median_us"], 3)
-    record = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            record = json.load(fh)
-    record.setdefault("parent_commit", parent_commit)
     record["layers"] = {
-        "command": f"python3 benchmarks/layers.py --parent {args.parent} --out {args.out} "
-                   f"--seed {args.seed} --repeat {args.repeat}",
-        "method": f"{args.repeat} repetitions per layer and side of timeit over passes of a fixed "
-                  f"corpus seeded with {args.seed} (autorange picks the passes); microseconds per "
+        "command": f"python3 benchmarks/layers.py --parent {args.parent} --out {args.out}",
+        "method": f"{REPEAT} repetitions per layer and side of timeit over passes of a fixed "
+                  f"corpus seeded with {SEED} (autorange picks the passes); microseconds per "
                   "call; each side in its own process importing only its own src, the sides "
                   "alternating repetition by repetition",
         "python": platform.python_version(),
