@@ -281,7 +281,6 @@ def q_limit(
 
     kahler = variables.kahler
     z_parts = [m.restrict(kahler) for m, _ in survivors]
-    base = z_parts[0]
     norm_exps: dict[str, Fraction] = {}
     for v in kahler:
         exps = [zp.exponent(v) for zp in z_parts]

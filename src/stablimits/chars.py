@@ -251,10 +251,6 @@ class Character:
         return cls({m: mult})
 
     @classmethod
-    def variable(cls, name: str, exponent: Rat = 1, mult: int = 1) -> "Character":
-        return cls({Monomial.variable(name, exponent): mult})
-
-    @classmethod
     def from_terms(cls, terms: Iterable[tuple[Monomial, int]]) -> "Character":
         acc: dict[Monomial, int] = {}
         for m, c in terms:
@@ -502,9 +498,6 @@ class Chamber:
         if not any(Fraction(v) for v in self.direction.values()):
             raise ValueError("chamber direction must be nonzero")
 
-    def pairing(self, m: Monomial) -> Fraction:
-        return m.pairing(self.direction)
-
     def opposite(self) -> "Chamber":
         return Chamber({v: -Fraction(d) for v, d in self.direction.items()})
 
@@ -520,6 +513,8 @@ def _times_one_minus(ch: Character, m: Monomial) -> Character:
 
 def _expand(ch: Character, factors: Mapping[Monomial, int]) -> Character:
     """ch * prod (1 - m)^k."""
+    # Not ch * one_minus_power(m, k): nearly every k is 1, where that extra
+    # character and full product cost the sections benchmark ~8% of ops_per_s.
     for m, k in factors.items():
         for _ in range(k):
             ch = _times_one_minus(ch, m)
@@ -707,11 +702,6 @@ class RationalExpr:
 
     def __neg__(self) -> "RationalExpr":
         return RationalExpr.factored(-self.num, self.factors, self.rest)
-
-    def inverse(self) -> "RationalExpr":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of the zero expression")
-        return RationalExpr(self.den, self.num)
 
     def times_monomial(self, m: Monomial) -> "RationalExpr":
         return RationalExpr.factored(self.num.times_monomial(m), self.factors, self.rest)

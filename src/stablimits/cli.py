@@ -8,20 +8,20 @@ verification failed), or 2 (malformed input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .balanced import (
     KahlerChamber,
-    chamber_correction,
+    double_limit,
     evaluate_numeric,
     q_limit,
-    quasiperiod_pairing,
     random_balanced_expression,
-    z_limit,
 )
 from .chars import (
     Character,
@@ -53,7 +53,10 @@ from .pipeline import (
 )
 from .qseries import (
     ThetaArgument,
+    numeric_theta_argument,
+    theta_leading,
     theta_ratio_limit,
+    theta_series,
     verify_oddness,
     verify_quasiperiod,
 )
@@ -71,22 +74,12 @@ class _Output:
     def __init__(self, path: str | None):
         self._path = path
         self._fh = None if path else sys.stdout
-        self.checks = 0
-        self.passed = 0
-        self.failed = 0
-        self.skipped = 0
+        self.statuses: Counter[str] = Counter()
 
     def record(self, payload: dict, status: str | None = None):
         if status is not None:
             payload = {**payload, "status": status}
-            if status == "pass":
-                self.checks += 1
-                self.passed += 1
-            elif status == "fail":
-                self.checks += 1
-                self.failed += 1
-            elif status == "skipped":
-                self.skipped += 1
+            self.statuses[status] += 1
         self._write(payload)
 
     def _write(self, payload: dict):
@@ -101,14 +94,15 @@ class _Output:
             os.remove(self._path)
 
     def finish(self, command: str) -> int:
-        code = EXIT_OK if self.failed == 0 else EXIT_FAILED
+        passed, failed = self.statuses["pass"], self.statuses["fail"]
+        code = EXIT_OK if failed == 0 else EXIT_FAILED
         summary = {
             "summary": {
                 "command": command,
-                "checks": self.checks,
-                "passed": self.passed,
-                "failed": self.failed,
-                "skipped": self.skipped,
+                "checks": passed + failed,
+                "passed": passed,
+                "failed": failed,
+                "skipped": self.statuses["skipped"],
                 "exit": code,
             }
         }
@@ -192,13 +186,9 @@ def _cmd_theta_verify(args, out: _Output) -> int:
             w = Fraction(rng.randint(-3 * r, 3 * r), r)
             weight = {"a": w}
             try:
-                # Not double_limit: one q-limit serves both chambers and the rate check.
-                pairing = quasiperiod_pairing(expr, variables)
-                norm, value = q_limit(expr, weight, variables)
                 for direction in ("zero", "infinity"):
-                    chamber = KahlerChamber.uniform(("z",), direction)
-                    corr = chamber_correction(pairing, weight, norm, chamber)
-                    z_limit(value, chamber, corr * norm)
+                    double_limit(expr, weight, KahlerChamber.uniform(("z",), direction), variables)
+                norm, value = q_limit(expr, weight, variables)
                 rel = _series_vs_numeric(expr, weight, ctx, 1e-4)
                 converges = _rate_consistent(expr, weight, norm, value, ctx)
                 ok = rel < args.tolerance and converges
@@ -217,8 +207,6 @@ def _cmd_theta_verify(args, out: _Output) -> int:
 def _series_vs_numeric(expr, weight, ctx, q: float) -> float:
     """Worst relative gap between the exact factor series and the numeric
     theta product at the same q; validates the expansion engine."""
-    from .qseries import numeric_theta_argument, theta_leading, theta_series
-
     worst = 0.0
     for term in expr.shifted(weight).terms:
         for arg in (*term.numerator, *term.denominator):
@@ -319,11 +307,11 @@ def _cmd_component_enum(args, out: _Output) -> int:
             conj = conjugation_matrices(diagrams, w, conv)
             rec["conjugation"] = conj.to_json()
         out.record(rec)
+    total = sum(len(v) for v in components.values())
+    expected = len(partitions(args.n))
     out.record(
-        {"check": "component-sizes", "n": args.n, "b": args.b,
-         "total": sum(len(v) for v in components.values()),
-         "expected": len(partitions(args.n))},
-        "pass" if sum(len(v) for v in components.values()) == len(partitions(args.n)) else "fail",
+        {"check": "component-sizes", "n": args.n, "b": args.b, "total": total, "expected": expected},
+        "pass" if total == expected else "fail",
     )
     return out.finish("component-enum")
 
@@ -420,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chamber attraction sign (default neg)")
 
     p = sub.add_parser("theta-verify", help="theta functional equations and the limit law")
+    p.set_defaults(run=_cmd_theta_verify)
     p.add_argument("--order", default="10", help="series truncation order (rational, default 10)")
     p.add_argument("--w-denoms", type=int, default=6, help="max denominator in the w grid (default 6)")
     p.add_argument("--balanced-samples", type=int, default=0,
@@ -430,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("young-report", help="per-diagram fixed-point data")
+    p.set_defaults(run=_cmd_young_report)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--b", type=int, default=None, help="also classify components mod b")
     p.add_argument("--w", help="comma-separated shifts for m-value columns")
@@ -437,12 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("diflem-scan", help="exponent-difference identity scan")
+    p.set_defaults(run=_cmd_diflem_scan)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--b-max", type=int, default=4)
     convention_flags(p)
     common(p)
 
     p = sub.add_parser("component-enum", help="residue components of diagrams of size n")
+    p.set_defaults(run=_cmd_component_enum)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--w", help="optional shift (denominator b) for conjugation diagonals")
@@ -450,17 +442,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("calibrate", help="scan the four convention combinations")
+    p.set_defaults(run=_cmd_calibrate)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--b-max", type=int, default=4)
     common(p)
 
     p = sub.add_parser("limit-apply", help="run the limit pipeline on a restriction matrix")
+    p.set_defaults(run=_cmd_limit_apply)
     p.add_argument("--input", required=True, help="restriction-matrix JSON file")
     p.add_argument("--w", default="0", help="equivariant shift (rational, default 0)")
     p.add_argument("--chamber", choices=("zero", "infinity"), default="zero")
     common(p)
 
     p = sub.add_parser("framing-blocks", help="hyperplane-arrangement data for a framing point")
+    p.set_defaults(run=_cmd_framing_blocks)
     p.add_argument("--w", required=True, help="comma-separated rational coordinates")
     p.add_argument("--frame-r", help="framing dimensions per vertex, comma-separated")
     p.add_argument("--frame-n", help="dimension vector per vertex, comma-separated")
@@ -469,23 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "theta-verify": _cmd_theta_verify,
-    "young-report": _cmd_young_report,
-    "diflem-scan": _cmd_diflem_scan,
-    "component-enum": _cmd_component_enum,
-    "calibrate": _cmd_calibrate,
-    "limit-apply": _cmd_limit_apply,
-    "framing-blocks": _cmd_framing_blocks,
-}
+_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out = _Output(args.output)
     try:
-        return _COMMANDS[args.command](args, out)
+        return args.run(args, out)
     except MalformedInput as exc:
         out.discard()
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .chars import Character, Monomial, Rat
+from .chars import Character, Monomial, Rat, rat_to_str
 
 
 class ComponentMismatch(ValueError):
@@ -299,8 +299,6 @@ class DiagonalMatrices:
     limit_exponents: tuple[Fraction, ...]
 
     def to_json(self) -> dict:
-        from .chars import rat_to_str
-
         return {
             "labels": [str(d) for d in self.labels],
             "z_exponents": [rat_to_str(e) for e in self.z_exponents],

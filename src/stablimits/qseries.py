@@ -95,18 +95,8 @@ class QSeries:
     def coefficient(self, e: Rat) -> Character:
         return self.coeffs.get(Fraction(e), Character.zero())
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        order = min(self.order, other.order)
-        acc = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            acc[e] = acc.get(e, Character.zero()) + c
-        return QSeries(acc, order)
-
     def __neg__(self) -> "QSeries":
         return QSeries({e: -c for e, c in self.coeffs.items()}, self.order)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         # The product is complete below min over the two cross valuations.
@@ -129,9 +119,6 @@ class QSeries:
                 if e < order:
                     acc[e] = acc.get(e, Character.zero()) + c1 * c2
         return QSeries(acc, order)
-
-    def scale(self, ch: Character) -> "QSeries":
-        return QSeries({e: c * ch for e, c in self.coeffs.items()}, self.order)
 
     def scale_monomial(self, m: Monomial) -> "QSeries":
         return QSeries({e: c.times_monomial(m) for e, c in self.coeffs.items()}, self.order)

@@ -9,7 +9,8 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stablimits.balanced import BalancedExpression, theta
+from stablimits.balanced import BalancedExpression, BalancedTerm, theta
+from stablimits import cli
 from stablimits.cli import main
 from stablimits.hilbert import ConventionSet
 from stablimits.pipeline import MatrixMetadata, RestrictionMatrix
@@ -44,6 +45,43 @@ def test_theta_verify_balanced_samples(capsys):
     )
     assert code == 0
     assert any(rec.get("check") == "balanced-limit" for rec in lines[:-1])
+
+
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        (
+            (BalancedTerm(numerator=(theta({"a": 1, "hbar": 1}),), denominator=(theta({"a": 1}),)),
+             BalancedTerm()),
+            "terms carry different (a, hbar) quasiperiod pairings: 1 vs 0",
+        ),
+        (
+            (BalancedTerm(numerator=(theta({"hbar": 1}, -1),), denominator=(theta({"hbar": 1}),)),),
+            "term diverges as q^-1/2; expression is not balanced",
+        ),
+    ],
+    ids=["hbar-pairing-mismatch", "q-pole"],
+)
+def test_theta_verify_balanced_reports_limit_error(capsys, monkeypatch, terms, error):
+    monkeypatch.setattr(
+        "stablimits.cli.random_balanced_expression",
+        lambda rng, variables: BalancedExpression(terms),
+    )
+    code, lines = run(
+        capsys, "theta-verify", "--order", "4", "--w-denoms", "2",
+        "--balanced-samples", "1", "--seed", "0",
+    )
+    assert code == 1
+    [rec] = [r for r in lines[:-1] if r.get("check") == "balanced-limit"]
+    assert rec["sample"] == 0 and rec["error"] == error and rec["status"] == "fail"
+    assert "rel" not in rec
+    assert summary(lines)["failed"] == 1
+
+
+def test_parser_is_built_once_per_process(capsys):
+    run(capsys, "framing-blocks", "--w", "0,1")
+    run(capsys, "calibrate", "--n-max", "2", "--b-max", "2")
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_young_report(capsys):
