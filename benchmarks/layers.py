@@ -45,8 +45,6 @@ REPEAT = 9  # timeit repetitions per layer and side
 
 def corpus(sl) -> dict:
     """Layer name -> (list of argument tuples, the function called on each)."""
-    from stablimits.pipeline import euler_arguments
-
     rng = random.Random(f"layers/{SEED}")
     names = ("a", "hbar", "z")
 
@@ -55,6 +53,12 @@ def corpus(sl) -> dict:
 
     def character(terms: int):
         return sl.Character({monomial(): rng.choice((-2, -1, 1, 2)) for _ in range(terms)})
+
+    def euler_arguments(V, weight):  # of the Euler class of V, shifted by q^w
+        num, den = [], []
+        for m, mult in V.items():
+            (num if mult > 0 else den).extend([sl.ThetaArgument(m, m.pairing(weight))] * abs(mult))
+        return num, den
 
     def argument():
         m = sl.Monomial({v: rng.randint(-3, 3) for v in names if rng.random() < 0.7})

@@ -86,15 +86,12 @@ from .framing import (
 )
 from .pipeline import (
     EntryLimitError,
-    ImpureNormalization,
     KMatrixCandidate,
     MalformedInput,
     MatrixMetadata,
     RestrictionMatrix,
     apply_limit_theorem,
     check_stab_axioms,
-    diagonal_exponent,
-    euler_ratio_limit,
     expected_diagonal,
     normal_negative,
     validate_section,

@@ -8,6 +8,7 @@ exact arithmetic from the closed-form leading data of each theta factor.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from .qseries import (
     LimitUndefined,
     ThetaArgument,
     numeric_theta_argument,
+    qpow,
     theta_ratio_leading,
 )
 
@@ -152,15 +154,15 @@ def is_balanced_in(expr: BalancedExpression, variables: Collection[str]) -> bool
     vectors of the numerator factors match those of the denominator factors,
     as multisets.  Factors not involving the variables are unconstrained.
     """
-    for term in expr.terms:
-        def profile(args: tuple[ThetaArgument, ...]) -> dict[Monomial, int]:
-            counts: dict[Monomial, int] = {}
-            for a in args:
-                key = a.monomial.restrict(variables)
-                if not key.is_trivial:
-                    counts[key] = counts.get(key, 0) + 1
-            return counts
+    def profile(args: tuple[ThetaArgument, ...]) -> dict[tuple, int]:
+        counts: dict[tuple, int] = {}  # by the restricted (variable, doubled exponent) pairs
+        for a in args:
+            key = tuple(p for p in a.monomial.doubled() if p[0] in variables)
+            if key:
+                counts[key] = counts.get(key, 0) + 1
+        return counts
 
+    for term in expr.terms:
         if profile(term.numerator) != profile(term.denominator):
             return False
     return True
@@ -262,12 +264,12 @@ def q_limit(
     Returns (normalization, value): the Kahler-monomial normalization common
     to all terms (possibly with half-integer exponents) and the remaining
     rational function of the variables.  The limit of the section equals
-    normalization * value.
+    normalization * value.  Each theta factor's shift is read in integers
+    by ``theta_leading``, so no shifted expression is built.
     """
-    shifted = expr.shifted(weight)
     survivors: list[tuple[Monomial, RationalExpr]] = []
-    for term in shifted.terms:
-        valuation, ratio = theta_ratio_leading(term.numerator, term.denominator)
+    for term in expr.terms:
+        valuation, ratio = theta_ratio_leading(term.numerator, term.denominator, weight)
         valuation += term.prefactor.pairing(weight)
         if valuation < 0:
             raise LimitUndefined(
@@ -279,11 +281,9 @@ def q_limit(
     if not survivors:
         return ONE, RationalExpr.zero()
 
-    kahler = variables.kahler
-    z_parts = [m.restrict(kahler) for m, _ in survivors]
     norm_exps: dict[str, Fraction] = {}
-    for v in kahler:
-        exps = [zp.exponent(v) for zp in z_parts]
+    for v in variables.kahler:
+        exps = [m.exponent(v) for m, _ in survivors]
         if any((e - exps[0]).denominator != 1 for e in exps):
             raise NormalizationMismatch(
                 f"terms disagree on the fractional part of the {v}-normalization"
@@ -377,10 +377,13 @@ def double_limit(
     weight: Mapping[str, Rat],
     chamber: KahlerChamber,
     variables: VariableSet,
+    pairing: Mapping[tuple[str, str], int] | None = None,
 ) -> RationalExpr:
     """The full pipeline for one expression: q-limit with shift, quasiperiod
-    correction, then the Kahler chamber limit."""
-    pairing = quasiperiod_pairing(expr, variables) if expr.terms else {}
+    correction, then the Kahler chamber limit.  ``pairing`` is the expression's
+    ``quasiperiod_pairing``, if already computed (``validate_section`` does)."""
+    if pairing is None:
+        pairing = quasiperiod_pairing(expr, variables) if expr.terms else {}
     normalization, value = q_limit(expr, weight, variables)
     correction = chamber_correction(pairing, weight, normalization, chamber)
     return z_limit(value, chamber, correction * normalization)
@@ -389,15 +392,24 @@ def double_limit(
 def evaluate_numeric(
     expr: BalancedExpression, ctx: NumericContext, q: complex, tolerance: float = 1e-12
 ) -> complex:
-    """Numeric value of the expression at explicit parameters; oracle helper."""
+    """Numeric value of the expression at explicit parameters; oracle helper.
+
+    Each factor theta(m q^s) is first reduced to theta(m q^r), s = k + r with
+    k = floor(s), by theta(x q^k) = (-1)^k x^(-k) q^(-k^2/2) theta(x).  The
+    sign, monomial and q-exponent this collects per term stay exact, so only
+    theta values of order 1 meet floating point, and a large shift cannot
+    overflow a factor."""
     total = 0j
     for term in expr.terms:
-        val = ctx.monomial(term.prefactor)
-        for a in term.numerator:
-            val *= numeric_theta_argument(a, q, ctx, tolerance)
-        for a in term.denominator:
-            val /= numeric_theta_argument(a, q, ctx, tolerance)
-        total += val
+        sign, monomial, qexp, val = 1, term.prefactor, Fraction(0), 1 + 0j
+        for a, side in [*((a, 1) for a in term.numerator), *((a, -1) for a in term.denominator)]:
+            k = math.floor(a.qshift)
+            r = a.qshift - k
+            sign *= (-1) ** k
+            monomial = monomial * a.monomial ** (-side * k)
+            qexp -= side * (k * r + Fraction(k * k, 2))
+            val *= numeric_theta_argument(ThetaArgument(a.monomial, r), q, ctx, tolerance) ** side
+        total += sign * ctx.monomial(monomial) * qpow(q, qexp) * val
     return total
 
 

@@ -60,6 +60,8 @@ def rat_from_str(s: str | int | float) -> Fraction:
         if not s.is_integer():
             raise ExponentError(f"non-integral float {s!r} in rational position")
         return Fraction(int(s))
+    if isinstance(s, str) and s.removeprefix("-").isdigit() and s.isascii():
+        return Fraction(int(s))  # a decimal integer, such as every q-shift "0", skips the regex
     return Fraction(s)
 
 
@@ -158,11 +160,11 @@ class Monomial:
     def __truediv__(self, other: "Monomial") -> "Monomial":
         return self * other.inverse()
 
-    def sqrt(self) -> "Monomial":
-        """Halve all exponents; requires every exponent to be integral."""
+    def sqrt(self, n: int = 1) -> "Monomial":
+        """The n-th power of the square root, in one step; requires every exponent to be integral."""
         if any(e2 % 2 for _, e2 in self._exp2):
             raise ExponentError(f"square root of {self} leaves the half-integer lattice")
-        return Monomial._sorted((v, e2 // 2) for v, e2 in self._exp2)
+        return Monomial._sorted([(v, e2 // 2 * n) for v, e2 in self._exp2])
 
     def restrict(self, variables: Collection[str]) -> "Monomial":
         return Monomial._sorted((v, e2) for v, e2 in self._exp2 if v in variables)
@@ -218,7 +220,8 @@ class Monomial:
 
     @classmethod
     def from_json(cls, data: Mapping[str, str | int | float]) -> "Monomial":
-        return cls({v: e if isinstance(e, int) else rat_from_str(e) for v, e in data.items()})
+        return cls._sorted(sorted((v, 2 * e if isinstance(e, int) else _as_doubled(rat_from_str(e)))
+                                  for v, e in data.items()))
 
 
 ONE = Monomial()
@@ -320,7 +323,7 @@ class Character:
         zer: dict[Monomial, int] = {}
         neg: dict[Monomial, int] = {}
         for m, c in self._terms.items():
-            p = m.pairing(direction)
+            p, _ = m.pairing_ratio(direction)  # the sign of the numerator is the sign
             (pos if p > 0 else neg if p < 0 else zer)[m] = c
         return Character(pos), Character(zer), Character(neg)
 
@@ -345,9 +348,8 @@ class Character:
 
     def invariant_part(self, weight: Mapping[str, Rat]) -> "Character":
         """Terms whose exponents pair integrally with the weight vector."""
-        return Character(
-            {m: c for m, c in self._terms.items() if m.pairing(weight).denominator == 1}
-        )
+        return Character({m: c for m, c in self._terms.items()
+                          if (r := m.pairing_ratio(weight))[0] % r[1] == 0})
 
     def s_hat(self) -> "RationalExpr":
         """Product over terms of (m^(1/2) - m^(-1/2))**mult, each numerator
@@ -725,8 +727,7 @@ class RationalExpr:
                 rest, own[m] = quotient, own.get(m, 0) + 1
         return self if rest is self.rest else RationalExpr.factored(self.num, own, rest)
 
-    def __hash__(self) -> int:  # weak but consistent: hash of nothing structural
-        return hash(("RationalExpr", self.num.is_zero))
+    __hash__ = None  # equal values have many forms, and none is canonical
 
     def degree_span(self, variables: Collection[str]) -> tuple[Fraction, Fraction] | None:
         """[min, max] exponent span in the given variables, num minus den endpoint-wise.

@@ -29,7 +29,6 @@ from .balanced import (
 from .chars import (
     Character,
     Monomial,
-    ONE,
     Rat,
     RationalExpr,
     VariableSet,
@@ -44,7 +43,7 @@ from .hilbert import (
     conjugation_matrices,
     d_lambda,
 )
-from .qseries import LimitUndefined, ThetaArgument, leading_survives, theta_leading, theta_ratio_limit
+from .qseries import LimitUndefined, ThetaArgument, leading_product, leading_survives
 
 
 class MalformedInput(ValueError):
@@ -102,6 +101,7 @@ class CheckRecord:
 @dataclass
 class Report:
     records: list[CheckRecord] = field(default_factory=list)
+    pairings: dict[tuple[str, str], dict] = field(default_factory=dict)  # see validate_section
 
     def add(self, name: str, subject: str, passed: bool | None, detail: str = ""):
         self.records.append(CheckRecord(name, subject, passed, detail))
@@ -270,7 +270,9 @@ def validate_section(matrix: RestrictionMatrix) -> Report:
     """Per-entry section checks: balance in the equivariant and Kahler
     variables, pole separation, quasiperiod consistency, unit diagonal, and
     (for diagram labels with declared d-values or a convention) the pairing
-    cross-check against the label degrees."""
+    cross-check against the label degrees.  The quasiperiod pairing of each
+    consistent entry is kept in the report's ``pairings``, where
+    ``apply_limit_theorem`` hands it to ``double_limit``."""
     report = Report()
     variables = matrix.metadata.variables
     avars = variables.equivariant
@@ -284,10 +286,7 @@ def validate_section(matrix: RestrictionMatrix) -> Report:
         d_of = {l: d_lambda(d, matrix.metadata.convention) for l, d in diagrams.items()}
 
     for label in matrix.labels:
-        diag = matrix.entry(label, label)
-        is_unit = len(diag.terms) == 1 and not diag.terms[0].numerator and not diag.terms[
-            0
-        ].denominator and diag.terms[0].prefactor == ONE
+        is_unit = matrix.entry(label, label) == BalancedExpression.one()
         report.add(
             "unit-diagonal", label, is_unit, "" if is_unit else "diagonal entry is not 1"
         )
@@ -305,6 +304,7 @@ def validate_section(matrix: RestrictionMatrix) -> Report:
             report.add("quasiperiod-consistency", subject, False, str(exc))
             continue
         report.add("quasiperiod-consistency", subject, True)
+        report.pairings[(row, col)] = pairing
         if d_of is not None and row in d_of and col in d_of and len(avars) == 1 and len(zvars) == 1:
             expected = d_of[col] - d_of[row]
             got = pairing.get((avars[0], zvars[0]), 0)
@@ -366,7 +366,8 @@ def apply_limit_theorem(
     ``w`` may be a single rational (one equivariant variable) or a mapping
     from equivariant names to rationals.  ``chamber`` may be a KahlerChamber
     or the uniform direction 'zero' / 'infinity'.  ``validation`` is the
-    report of ``validate_section`` on this matrix, if already computed.
+    report of ``validate_section`` on this matrix, if already computed; each
+    entry's quasiperiod pairing is taken from it, not computed again.
     """
     variables = matrix.metadata.variables
     weight = _weight(w, variables.equivariant)
@@ -406,7 +407,7 @@ def apply_limit_theorem(
         if row == col or expr.is_zero:
             continue
         try:
-            limit = double_limit(expr, weight, chamber, variables)
+            limit = double_limit(expr, weight, chamber, variables, validation.pairings[(row, col)])
         except (LimitUndefined, DivergentLimit, NormalizationMismatch) as exc:
             raise EntryLimitError(row, col, exc) from exc
         if not limit.is_zero:
@@ -415,83 +416,10 @@ def apply_limit_theorem(
     return LimitOutcome(candidate, conj)
 
 
-def euler_arguments(
-    V: Character, weight: Mapping[str, Rat] | None = None
-) -> tuple[list[ThetaArgument], list[ThetaArgument]]:
-    """Theta arguments of the multiplicative Euler class of a character,
-    optionally with equivariant parameters already shifted by q^w."""
-    num: list[ThetaArgument] = []
-    den: list[ThetaArgument] = []
-    for m, mult in V.items():
-        shift = m.pairing(weight) if weight else Fraction(0)
-        arg = ThetaArgument(m, shift)
-        (num if mult > 0 else den).extend([arg] * abs(mult))
-    return num, den
-
-
-def euler_ratio_limit(
-    P: Character, N_minus: Character, weight: Rat | Mapping[str, Rat]
-) -> RationalExpr:
-    """Exact q->0 limit of Theta(N^-) / Theta(P) with a -> a q^w.
-
-    The output is a monomial times a ratio of products of (1 - monomial)
-    binomials; no q survives and no fractional equivariant exponents appear
-    beyond the monomial prefactor.
-    """
-    weight = _weight(weight, ("a",))
-    num_n, den_n = euler_arguments(N_minus, weight)
-    num_p, den_p = euler_arguments(P, weight)
-    result = theta_ratio_limit(num_n + den_p, den_n + num_p)
-    return result.combined()
-
-
 def normal_negative(P: Character, direction: Mapping[str, Rat], hbar: str = "hbar") -> Character:
     """Repelling half of the tangent character: P_neg + hbar * conj(P_pos)."""
     pos, _, neg = P.chamber_split(direction)
     return neg + pos.conjugate().times_monomial(Monomial.variable(hbar))
-
-
-class ImpureNormalization(ArithmeticError):
-    """The Euler-ratio limit is not a monomial multiple of its invariant part."""
-
-
-def diagonal_exponent(
-    P: Character,
-    weight: Rat | Mapping[str, Rat],
-    direction: Mapping[str, Rat],
-    hbar: str = "hbar",
-) -> tuple[int, Fraction]:
-    """Sign and hbar-exponent of the monomial relating the exact limit of the
-    shifted Euler-class ratio to its invariant-part value:
-
-        lim_q [Theta(N^-)/Theta(P)]|shift == sign * hbar^E * s_hat(N^-_inv)/s_hat(P_inv)
-
-    The equality is verified by cross-multiplication; the sign always equals
-    (-1)^(rank of the moving part of the index), and E has the closed form
-    given by the symmetrized floor pairing of the index.
-    """
-    weight = _weight(weight, tuple(direction))
-    N_minus = normal_negative(P, direction, hbar)
-    limit = euler_ratio_limit(P, N_minus, weight)
-    invariant_value = (
-        N_minus.invariant_part(weight).s_hat() / P.invariant_part(weight).s_hat()
-    )
-    span_l = limit.degree_span((hbar,))
-    span_s = invariant_value.degree_span((hbar,))
-    if span_l is None or span_s is None:
-        raise ImpureNormalization("degenerate limit or invariant part")
-    lo = span_l[0] - span_s[0]
-    hi = span_l[1] - span_s[1]
-    if lo != hi:
-        raise ImpureNormalization(f"hbar content is not a pure power: span [{lo}, {hi}]")
-    ind, _, _ = P.chamber_split(direction)
-    sign = -1 if (ind.rank() - ind.invariant_part(weight).rank()) % 2 else 1
-    candidate = invariant_value * RationalExpr.from_monomial(Monomial({hbar: lo}), sign)
-    if not (limit == candidate):
-        raise ImpureNormalization(
-            "limit does not factor as a signed hbar power times the invariant value"
-        )
-    return sign, lo
 
 
 def expected_diagonal(
@@ -521,24 +449,22 @@ def expected_diagonal(
         diagonal = (-1)^rank(P^inv) prod sign_m^c * prod M_m^c
                    * det(P^inv)^(-1) det(P_0)^(1/2) * Euler(N^-_inv).
 
-    The repelling part P_neg sits in both N^- and P and drops out of V.
+    The repelling part P_neg sits in both N^- and P and drops out of V, so
+    P is split by the chamber once and V = hbar conj(P_pos) - P_pos - P_0.
     Signs are taken by parity: c may be negative.
     """
     weight = _weight(weight, tuple(direction))
-    N_minus = normal_negative(P, direction, hbar)
-    valuation, odd, monomial = Fraction(0), 0, ONE
-    for m, c in (N_minus - P).items():
-        lead = theta_leading(ThetaArgument(m, m.pairing(weight)))
-        valuation += c * lead.valuation
-        odd += c if lead.sign < 0 else 0
-        monomial = monomial * lead.monomial ** c
+    pos, zero_part, neg = P.chamber_split(direction)
+    hbar_dual_pos = pos.conjugate().times_monomial(Monomial.variable(hbar))
+    V = hbar_dual_pos - pos - zero_part
+    valuation, sign, monomial, _ = leading_product(((ThetaArgument(m), c) for m, c in V.items()), weight)
     if not leading_survives(valuation):
         return RationalExpr.zero()
     invariant = P.invariant_part(weight)
-    _, zero_part, _ = P.chamber_split(direction)
     monomial = monomial * invariant.determinant().inverse() * zero_part.determinant().sqrt()
-    sign = -1 if (odd + invariant.rank()) % 2 else 1
-    return (N_minus.invariant_part(weight).exterior_euler() * sign).times_monomial(monomial)
+    sign = -sign if invariant.rank() % 2 else sign
+    N_minus_inv = (neg + hbar_dual_pos).invariant_part(weight)
+    return (N_minus_inv.exterior_euler() * sign).times_monomial(monomial)
 
 
 def check_stab_axioms(

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .chars import (
     Character,
@@ -138,7 +138,7 @@ class QSeries:
     def evaluate(self, ctx: NumericContext, q: complex) -> complex:
         out = 0j
         for e, c in self.coeffs.items():
-            out += ctx.character(c) * _qpow(q, e)
+            out += ctx.character(c) * qpow(q, e)
         return out
 
     def __str__(self) -> str:
@@ -150,7 +150,7 @@ class QSeries:
         return " + ".join(parts) + f" + O(q^{rat_to_str(self.order)})"
 
 
-def _qpow(q: complex, e: Fraction) -> complex:
+def qpow(q: complex, e: Fraction) -> complex:
     if q == 0:
         if e == 0:
             return 1.0
@@ -217,8 +217,7 @@ def verify_quasiperiod(order: Rat) -> bool:
     return lhs.agrees_with(rhs, order)
 
 
-@dataclass(frozen=True)
-class ThetaLeading:
+class ThetaLeading(NamedTuple):
     """Closed-form leading behavior of one theta factor as q -> 0.
 
     theta(m q^s) = sign * monomial * (1 - binomial_of) * q^valuation * (1 + O(q^{>0}))
@@ -231,29 +230,33 @@ class ThetaLeading:
     binomial_of: Monomial | None
 
 
-def theta_leading(arg: ThetaArgument) -> ThetaLeading:
+def theta_leading(arg: ThetaArgument, weight: Mapping[str, Rat] | None = None) -> ThetaLeading:
     """Closed-form lowest term of theta(m q^s): the lowest term or terms of the
     triple-product sum in ``theta_series``, n = -floor(s), plus n = 1 - s when
-    s is integral, which gives the binomial."""
+    s is integral, which gives the binomial.
+
+    With a weight, s = qshift + <m, w>, the shift a -> a q^w, read in integers
+    as the unreduced pair n / d from ``Monomial.pairing_ratio``: the result is
+    that of ``arg.shifted(weight)``, and no shifted argument is built."""
     m, s = arg.monomial, arg.qshift
     n, d = s.numerator, s.denominator
-    if m.is_trivial and d == 1:
-        raise LimitUndefined(f"theta(q^{rat_to_str(s)}) vanishes identically")
-    k = n // d  # floor
+    if weight:
+        pn, pd = m.pairing_ratio(weight)
+        n, d = n * pd + pn * d, d * pd
+    k, r = divmod(n, d)  # s = k + r/d with k = floor(s) and 0 <= r < d
+    if m.is_trivial and r == 0:
+        raise LimitUndefined(f"theta(q^{rat_to_str(Fraction(n, d))}) vanishes identically")
     try:
-        root = m.sqrt()
+        monomial = m.sqrt(-2 * k - 1)  # m^(-k-1/2)
     except ExponentError as exc:
         raise LimitUndefined(
             f"theta argument {m.to_text() or '1'} has no half-integer square root"
         ) from exc
     sign = -1 if k % 2 == 0 else 1
-    monomial = root ** (-2 * k - 1)  # m^(-k-1/2)
-    if d == 1:
+    if r == 0:
         # theta(m q^s) = (-1)^(s+1) m^(-s-1/2) (1 - m) q^(-s^2/2) (1 + ...)
-        return ThetaLeading(Fraction(-n * n, 2), sign, monomial, m)
-    # s = k + r/d with 0 < r < d:
+        return ThetaLeading(Fraction(-k * k, 2), sign, monomial, m)
     # theta(m q^s) = (-1)^(k+1) m^(-k-1/2) q^(-k(r/d) - k^2/2 - (r/d)/2) (1 + ...)
-    r = n - k * d
     return ThetaLeading(Fraction(-2 * k * r - k * k * d - r, 2 * d), sign, monomial, None)
 
 
@@ -268,32 +271,50 @@ class LimitResult:
         return self.value.times_monomial(self.prefactor)
 
 
+def leading_product(
+    powers: Iterable[tuple[ThetaArgument, int]], weight: Mapping[str, Rat] | None = None
+) -> tuple[Fraction, int, Monomial, list[tuple[Monomial, int]]]:
+    """Leading term of prod theta(arg)^c as q -> 0, c of either sign, each
+    argument shifted by the weight as in ``theta_leading``: the q-valuation,
+    the sign, the monomial, and each binomial (1 - b) with its power c."""
+    vn, vd, odd = 0, 1, 0  # the valuation vn / vd, summed in integers; odd signs
+    monomials: dict[Monomial, int] = {}  # their product is the determinant
+    binomials = []
+    for arg, c in powers:
+        lead = theta_leading(arg, weight)
+        d = lead.valuation.denominator
+        if vd % d:
+            vn, vd = vn * d, vd * d
+        vn += c * lead.valuation.numerator * (vd // d)
+        odd += c if lead.sign < 0 else 0
+        monomials[lead.monomial] = monomials.get(lead.monomial, 0) + c
+        if lead.binomial_of is not None:
+            binomials.append((lead.binomial_of, c))
+    return Fraction(vn, vd), -1 if odd % 2 else 1, Character(monomials).determinant(), binomials
+
+
 def theta_ratio_leading(
-    numerator: Iterable[ThetaArgument], denominator: Iterable[ThetaArgument]
+    numerator: Iterable[ThetaArgument],
+    denominator: Iterable[ThetaArgument],
+    weight: Mapping[str, Rat] | None = None,
 ) -> tuple[Fraction, LimitResult]:
-    """Leading term of prod theta(num) / prod theta(den) as q -> 0.
+    """Leading term of prod theta(num) / prod theta(den) as q -> 0, each
+    argument shifted by the weight as in ``theta_leading``.
 
     Returns the q-valuation v and the coefficient of q^v, with the
     denominator binomials kept as (1 - m) factors.  Raises LimitUndefined if
     a factor is identically zero.
     """
-    valuation = Fraction(0)
-    sign = 1
-    monomial = ONE
+    # Equal arguments share one leading term, raised to their count k.
+    powers = [*Counter(numerator).items(), *((a, -k) for a, k in Counter(denominator).items())]
+    valuation, sign, monomial, binomials = leading_product(powers, weight)
     num = Character.one()
     factors: dict[Monomial, int] = {}
-    for args, side in ((numerator, 1), (denominator, -1)):
-        # Equal arguments share one leading term, raised to their count k.
-        for arg, k in Counter(args).items():
-            lead = theta_leading(arg)
-            valuation += side * k * lead.valuation
-            sign *= lead.sign ** k
-            monomial = monomial * lead.monomial ** (side * k)
-            b = lead.binomial_of
-            if b is not None and side > 0:  # (1 - b)^k by the binomial theorem
-                num = num * one_minus_power(b, k)
-            elif b is not None:
-                factors[b] = factors.get(b, 0) + k
+    for b, c in binomials:
+        if c > 0:  # (1 - b)^c by the binomial theorem
+            num = num * one_minus_power(b, c)
+        else:
+            factors[b] = factors.get(b, 0) - c
     return valuation, LimitResult(monomial, RationalExpr.factored(num * sign, factors))
 
 
@@ -343,8 +364,8 @@ def numeric_theta_argument(
         raise NonConvergence(f"|q| = {abs(q)} is not inside the unit disc")
     m_val = ctx.monomial(arg.monomial)
     root = ctx.monomial_sqrt(arg.monomial)
-    qs = _qpow(q, arg.qshift)
-    qs_half = _qpow(q, arg.qshift / 2)
+    qs = qpow(q, arg.qshift)
+    qs_half = qpow(q, arg.qshift / 2)
     x = m_val * qs
     return _times_theta_product(root * qs_half - 1 / (root * qs_half), x, q, tolerance)
 

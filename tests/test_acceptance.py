@@ -16,7 +16,15 @@ from math import gcd
 import mpmath as mp
 import pytest
 
-from oracles import mp_evaluate, mp_monomial, mp_rational, mp_theta_argument, quarter_roots
+from oracles import (
+    diagonal_exponent,
+    euler_ratio_limit,
+    mp_evaluate,
+    mp_monomial,
+    mp_rational,
+    mp_theta_argument,
+    quarter_roots,
+)
 from stablimits.balanced import (
     BalancedExpression,
     KahlerChamber,
@@ -59,8 +67,6 @@ from stablimits.pipeline import (
     RestrictionMatrix,
     apply_limit_theorem,
     check_stab_axioms,
-    diagonal_exponent,
-    euler_ratio_limit,
     expected_diagonal,
     validate_section,
 )

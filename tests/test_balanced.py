@@ -12,6 +12,7 @@ from stablimits.balanced import (
     NormalizationMismatch,
     chamber_correction,
     double_limit,
+    evaluate_numeric,
     has_separated_poles,
     is_balanced_in,
     q_limit,
@@ -23,6 +24,7 @@ from stablimits.balanced import (
 from stablimits.chars import (
     Character,
     Monomial,
+    NumericContext,
     ONE,
     RationalExpr,
     VariableSet,
@@ -371,3 +373,25 @@ def test_json_round_trip():
     blob = expr.to_json()
     assert BalancedExpression.from_json(blob) == expr
     assert BalancedExpression.from_json(blob).to_json() == blob
+
+
+def test_evaluate_numeric_matches_the_mpmath_oracle_at_large_shifts():
+    """evaluate_numeric reduces each shift by the quasi-period rule, so it
+    agrees with the arbitrary-precision oracle on the shifts w = p/r with
+    |w| <= 3 of every denominator r <= 4, as theta-verify draws them, one
+    section each.  At w = -3 (r = 1 and r = 2) a theta factor alone exceeds
+    1e150, and an unreduced float product overflows to nan."""
+    import mpmath as mp
+    from oracles import mp_evaluate, quarter_roots
+
+    values = {"a": 1.31 + 0.27j, "z": 0.78 - 0.42j, "hbar": 1.12 + 0.51j}
+    ctx = NumericContext.from_values(values)
+    rng = random.Random(5)
+    shifts = [Fraction(p, r) for r in range(1, 5) for p in range(-3 * r, 3 * r + 1)]
+    with mp.workdps(60):
+        quarters = quarter_roots(values)
+        for w in shifts:
+            shifted = random_balanced_expression(rng, VARS).shifted({"a": w})
+            got = evaluate_numeric(shifted, ctx, 1e-4)
+            want = mp_evaluate(shifted, mp.mpf("1e-4"), quarters)
+            assert abs(got - complex(want)) < 1e-9 * abs(want), f"w = {w}"

@@ -15,6 +15,7 @@ from stablimits.chars import (
     VariableSet,
     ZeroFactorError,
     _divide_one_minus,
+    rat_from_str,
 )
 
 
@@ -368,3 +369,33 @@ def test_integer_floor_pairings_match_fraction_floors(c, weight):
     assert got == floor and type(got) is int
     got = c.symmetric_floor_pairing(weight)
     assert got == symmetric and type(got) is Fraction
+
+
+# --- rat_from_str and hashing --------------------------------------------------
+
+
+def _parse_outcome(parse, text):
+    try:
+        value = parse(text)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+_RAT_TEXTS = ["0", "-0", "7", "-12", "007", "+3", "-", "", "--3", "+-3", " 5", "5 ", "1_000",
+              "1__0", "_1", "٣", "-٣", "²", "3/2", "-3/2", "1.5", "1e3", "0x10", "abc"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_RAT_TEXTS) | st.text(alphabet="0123456789-+_/ .e٣²x", max_size=6))
+def test_rat_from_str_accepts_and_rejects_as_fraction_does(text):
+    """The integer fast path of rat_from_str gives the value Fraction's own
+    parse gives, and every string Fraction rejects is still rejected alike."""
+    assert _parse_outcome(rat_from_str, text) == _parse_outcome(Fraction, text)
+
+
+def test_rational_expr_is_unhashable():
+    """No canonical form exists, so equal values could not hash alike."""
+    with pytest.raises(TypeError):
+        hash(RationalExpr.one())
+    assert RationalExpr(ch("1 + -1*a"), ch("1 + -1*a^2")) == RationalExpr(ch("1"), ch("1 + 1*a"))

@@ -47,6 +47,19 @@ def test_theta_verify_balanced_samples(capsys):
     assert any(rec.get("check") == "balanced-limit" for rec in lines[:-1])
 
 
+@pytest.mark.parametrize("seed, samples", [(2, [1]), (3, [5, 6]), (4, [28])])
+def test_theta_verify_passes_correct_limits_at_shift_three(capsys, seed, samples):
+    """These samples are drawn at w = 3, where single theta factors reach
+    1e158 at q = 1e-4; the numeric oracle must not overflow into a false fail."""
+    code, lines = run(
+        capsys, "theta-verify", "--order", "4", "--w-denoms", "4",
+        "--balanced-samples", "30", "--seed", str(seed),
+    )
+    pinned = [r for r in lines[:-1] if r.get("check") == "balanced-limit" and r["sample"] in samples]
+    assert [(r["sample"], r["w"], r["status"]) for r in pinned] == [(i, "3", "pass") for i in samples]
+    assert code == 0 and summary(lines)["failed"] == 0
+
+
 @pytest.mark.parametrize(
     "terms, error",
     [

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,13 +25,12 @@ from stablimits.pipeline import (
     RestrictionMatrix,
     apply_limit_theorem,
     check_stab_axioms,
-    diagonal_exponent,
-    euler_ratio_limit,
     expected_diagonal,
     normal_negative,
     validate_section,
 )
 from stablimits.qseries import LimitUndefined
+from oracles import diagonal_exponent, euler_ratio_limit
 
 VARS = VariableSet(("a",), "hbar", ("z",))
 CONV = ConventionSet("i-j", "neg")
@@ -459,3 +459,44 @@ def test_limit_apply_reports_one_wrong_supplied_diagonal(tmp_path):
     meta = RestrictionMatrix.from_json(data).metadata
     want = expected_diagonal(meta.polarizations["2,2"], 1, meta.convention.chamber_direction())
     assert RationalExpr(Character.from_text(num), Character.from_text(den)) == want
+
+
+# --- each fact once -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chamber", ["zero", "infinity"])
+def test_limit_apply_computes_each_pairing_once(monkeypatch, tmp_path, chamber):
+    """validate_section hands each off-diagonal entry's quasiperiod pairing
+    on to double_limit, which does not compute it again."""
+    from stablimits import balanced, pipeline
+
+    seen: Counter = Counter()
+    original = balanced.quasiperiod_pairing
+
+    def counting(expr, variables):
+        seen[expr] += 1
+        return original(expr, variables)
+
+    monkeypatch.setattr(balanced, "quasiperiod_pairing", counting)
+    monkeypatch.setattr(pipeline, "quasiperiod_pairing", counting)
+    path = GOLDEN / "restriction_matrix.json"
+    argv = ["limit-apply", "--input", str(path), "--w=1", "--chamber", chamber]
+    main([*argv, "--output", str(tmp_path / "out.jsonl")])
+    assert '"k_matrix"' in (tmp_path / "out.jsonl").read_text()  # the limit ran
+    entries = RestrictionMatrix.load(path).entries
+    assert seen == Counter(e for (row, col), e in entries.items() if row != col and not e.is_zero)
+
+
+def test_expected_diagonal_splits_each_polarization_once(monkeypatch):
+    split = []
+    original = Character.chamber_split
+
+    def counting(self, direction):
+        split.append(self)
+        return original(self, direction)
+
+    monkeypatch.setattr(Character, "chamber_split", counting)
+    meta = RestrictionMatrix.load(GOLDEN / "restriction_matrix.json").metadata
+    for P in meta.polarizations.values():
+        expected_diagonal(P, 1, meta.convention.chamber_direction())
+    assert split == list(meta.polarizations.values())

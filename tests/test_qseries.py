@@ -3,10 +3,11 @@ import json
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stablimits.chars import (
     Character,
@@ -318,3 +319,56 @@ def test_qseries_str_is_increasing():
     s = theta_series(ThetaArgument(A, half), Fraction(3, 2))
     text = str(s)
     assert text.index("q^-1/4") < text.index("O(q^3/2)")
+
+
+# --- the shift read in integers ------------------------------------------------
+
+
+@st.composite
+def _arguments_and_weights(draw):
+    exps = draw(st.dictionaries(st.sampled_from(("a", "z", "hbar")),
+                                st.integers(-3, 3) | st.sampled_from((half, -3 * half)),
+                                max_size=3))
+    qshift = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 4)))
+    weight = {v: Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+              for v in draw(st.sets(st.sampled_from(("a", "z")), min_size=1))}
+    return ThetaArgument(Monomial(exps), qshift), weight
+
+
+@given(_arguments_and_weights())
+@example((ThetaArgument(A * Z, Fraction(1, 3)), {"a": half}))  # a fractional shift
+@example((ThetaArgument(A ** 2, Fraction(-1, 2)), {"a": Fraction(3, 4)}))  # an integral one
+@example((ThetaArgument(ONE, Fraction(2)), {"a": half}))  # theta(q^2) vanishes
+@example((ThetaArgument(Monomial.variable("a", half), Fraction(1, 3)), {"a": 1}))  # no root
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_theta_leading_reads_the_shift_in_integers(case):
+    """theta_leading(arg, w) is theta_leading(arg.shifted(w)), error messages
+    included, and is the lowest term of the shifted argument's series."""
+    arg, weight = case
+    shifted = arg.shifted(weight)
+    try:
+        expected = theta_leading(shifted)
+    except LimitUndefined as exc:
+        with pytest.raises(LimitUndefined) as fused:
+            theta_leading(arg, weight)
+        assert str(fused.value) == str(exc)
+        assert re.fullmatch(r"theta\(q\^-?\d+\) vanishes identically|"
+                            r"theta argument \S+ has no half-integer square root", str(exc))
+        return
+    lead = theta_leading(arg, weight)
+    assert lead == expected
+    assert (lead.binomial_of is not None) == (shifted.qshift.denominator == 1)
+    val, coeff = theta_series(shifted, lead.valuation + 1).leading()
+    assert val == lead.valuation
+    expected_coeff = Character.monomial(lead.monomial, lead.sign)
+    if lead.binomial_of is not None:
+        expected_coeff = expected_coeff * Character({ONE: 1, lead.binomial_of: -1})
+    assert coeff == expected_coeff
+
+
+def test_theta_leading_shift_error_messages():
+    """A trivial monomial pairs to 0 with any weight, so only its own q-shift counts."""
+    with pytest.raises(LimitUndefined, match=r"^theta\(q\^-3\) vanishes identically$"):
+        theta_leading(ThetaArgument(ONE, Fraction(-3)), {"a": half})
+    with pytest.raises(LimitUndefined, match=r"^theta argument a\^1/2 has no half-integer square root$"):
+        theta_leading(ThetaArgument(Monomial.variable("a", half), Fraction(1, 3)), {"a": 1})
